@@ -29,7 +29,7 @@ a :class:`CacheWriter`, which writes each artifact side-file and rewrites
 the manifest (temp file + ``os.replace``) after every cell, with
 ``status: "partial"`` until the run finishes.  A killed run therefore leaves
 a valid partial entry, and the next run of the same spec resumes from it
-(:meth:`ResultCache.load_partial`) instead of recomputing finished cells.
+(:meth:`ResultCache.load_resume_state`) instead of recomputing finished cells.
 
 Unreadable, truncated or hand-edited entries are never an error: they are
 treated as a miss (logged at WARNING).  Entries written by the pre-artifact
@@ -401,7 +401,7 @@ class ResultCache:
         """Return the complete cached result for ``spec``, or ``None``.
 
         Partial entries (a killed run) are a miss here — the runner picks
-        them up through :meth:`load_partial` and finishes the remaining
+        them up through :meth:`load_resume_state` and finishes the remaining
         cells.  Any unreadable entry is a logged miss, never an exception.
         """
         manifest = self._read_manifest(spec)
@@ -452,15 +452,6 @@ class ResultCache:
                 "artifact_bytes_written": 0,
             },
         )
-
-    def load_partial(self, spec: ScenarioSpec) -> dict[str, CellResult]:
-        """Completed cells of a partial (or complete) entry, keyed by cell key.
-
-        Thin compatibility wrapper over :meth:`load_resume_state` for callers
-        that only need the rows.
-        """
-        state = self.load_resume_state(spec)
-        return {} if state is None else dict(state.rows)
 
     def load_resume_state(self, spec: ScenarioSpec) -> "ResumeState | None":
         """Everything a resuming run needs from an existing entry, or ``None``.

@@ -328,18 +328,11 @@ def _execute_synthetic(spec: ScenarioSpec, cell: Cell):
     if cell.solver_kind == "ctmc":
         # The ``tier`` option forces a steady-state solver tier (``direct``,
         # ``ilu_krylov``, ``matrix_free``); default is size-based selection.
-        # ``cascade`` engages the cascadic coarse-to-fine warm start of
-        # matrix-free solves (it is part of the spec hash, so cached cells
-        # solved with and without it never alias).
         tier = cell.options.get("tier")
-        cascade = bool(cell.options.get("cascade", False))
         result = MapClosedNetworkSolver(front, db, think).solve(
-            population, tier=tier if tier is None else str(tier), cascade=cascade
+            population, tier=tier if tier is None else str(tier)
         )
         meta: dict = {"solver_tier": result.solver_tier}
-        if cascade:
-            meta["cascade"] = True
-            meta["cascade_ladder"] = [int(rung) for rung in result.cascade_ladder]
         if result.krylov_iterations is not None:
             meta["krylov_iterations"] = int(result.krylov_iterations)
         if result.precond_setup_seconds is not None:

@@ -44,7 +44,6 @@ from repro.queueing.kron_operator import (
     LevelSweepPreconditioner,
     MatrixFreeGenerator,
     MultilevelPreconditioner,
-    TwoLevelPreconditioner,
 )
 from repro.queueing.multilevel import LatticeHierarchy
 from repro.queueing.map_network import (
@@ -87,7 +86,6 @@ __all__ = [
     "LevelSweepPreconditioner",
     "MatrixFreeGenerator",
     "MultilevelPreconditioner",
-    "TwoLevelPreconditioner",
     "LatticeHierarchy",
     "MapNetworkResult",
     "solve_map_closed_network",

@@ -70,20 +70,17 @@ class MapNetworkResult:
     #: ``ilu_krylov`` or ``matrix_free``); excluded from equality — it
     #: describes how the result was obtained, not what was computed.
     solver_tier: str = field(default="", compare=False)
-    #: Total Krylov iterations spent producing the steady state (including
-    #: cascade ladder rungs); ``None`` when only a direct solve ran.  Like
-    #: the remaining solver diagnostics below, excluded from equality.
+    #: Total Krylov iterations spent producing the steady state; ``None``
+    #: when only a direct solve ran.  Like the remaining solver diagnostics
+    #: below, excluded from equality.
     krylov_iterations: int | None = field(default=None, compare=False)
     #: Seconds spent building preconditioners (ILU factorisation or the
     #: multilevel lattice hierarchy); ``None`` if none was built.
     precond_setup_seconds: float | None = field(default=None, compare=False)
     #: Per-strategy attempt records — tuples of dicts with ``strategy``,
     #: ``seconds``, ``iterations`` and ``accepted`` keys, in execution
-    #: order.  Cascade ladder attempts are prefixed ``"N=<rung>:"``.
+    #: order.
     solver_attempts: tuple = field(default=(), compare=False)
-    #: Populations of the cascade warm-start ladder that fed this solve
-    #: (empty when cascade was off or did not engage).
-    cascade_ladder: tuple = field(default=(), compare=False)
 
     @property
     def response_time(self) -> float:
@@ -278,52 +275,9 @@ class MapClosedNetworkSolver:
         )
         return distribution, tier
 
-    # ------------------------------------------------------------------
-    # Cascadic warm starts
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _cascade_rungs(population: int) -> tuple:
-        """Ladder of smaller populations warm-starting ``population``."""
-        rungs = sorted({population // 4, population // 2})
-        return tuple(r for r in rungs if 1 <= r < population)
-
-    def _cascade_guess(
-        self, space: NetworkStateSpace, stats: SolveStats
-    ) -> tuple[np.ndarray | None, tuple]:
-        """Solve the cascade ladder and prolong its top into ``space``.
-
-        Each rung is solved at its own size-selected tier, warm-started from
-        the previous rung via :func:`embed_distribution` — the ladder costs a
-        fraction of the target solve (geometric state counts) and cuts the
-        warm-started Krylov iterations roughly in half.  Rung attempts are
-        merged into ``stats`` with an ``"N=<rung>:"`` strategy prefix.
-        """
-        rungs = self._cascade_rungs(space.population)
-        if not rungs:
-            return None, ()
-        previous: tuple[NetworkStateSpace, np.ndarray] | None = None
-        for rung in rungs:
-            rung_space = self.state_space(rung)
-            rung_tier = choose_solver_tier(rung_space.num_states)
-            guess = None
-            if previous is not None:
-                guess = embed_distribution(previous[0], previous[1], rung_space)
-            rung_stats = SolveStats()
-            distribution, _ = self._steady_state(
-                rung_space, rung_tier, guess, rung_stats
-            )
-            for attempt in rung_stats.attempts:
-                stats.attempts.append(replace(
-                    attempt, strategy=f"N={rung}:{attempt.strategy}"
-                ))
-            if rung_stats.precond_setup_seconds is not None:
-                stats._record_setup(rung_stats.precond_setup_seconds)
-            previous = (rung_space, distribution)
-        return embed_distribution(previous[0], previous[1], space), rungs
-
     @staticmethod
     def _diagnostics(result: MapNetworkResult, tier_used: str,
-                     stats: SolveStats, ladder: tuple) -> MapNetworkResult:
+                     stats: SolveStats) -> MapNetworkResult:
         """Attach solver diagnostics to a metrics result."""
         return replace(
             result,
@@ -339,7 +293,6 @@ class MapClosedNetworkSolver:
                 }
                 for a in stats.attempts
             ),
-            cascade_ladder=ladder,
         )
 
     def metrics_from_distribution(
@@ -376,7 +329,6 @@ class MapClosedNetworkSolver:
         population: int,
         tier: str | None = None,
         initial_guess: np.ndarray | None = None,
-        cascade: bool = False,
     ) -> MapNetworkResult:
         """Solve the network for the given customer population.
 
@@ -387,59 +339,37 @@ class MapClosedNetworkSolver:
         ``initial_guess`` warm-starts the iterative tiers (the direct solve
         ignores it, so small systems return identical results either way);
         piecewise-stationary sweeps pass the previous segment's steady state.
-
-        ``cascade=True`` engages the cascadic warm start: when the solve
-        lands on the matrix-free tier and no ``initial_guess`` was given, a
-        geometric ladder of smaller populations (``N//4``, ``N//2``) is
-        solved first, each prolonged via :func:`embed_distribution` into the
-        next — the result records the ladder in ``cascade_ladder``.  The
-        final distribution satisfies the same residual acceptance threshold
-        either way, so cascade changes cost, not correctness.
         """
         if population < 1:
             raise ValueError("population must be >= 1")
         space = self.state_space(population)
         chosen = choose_solver_tier(space.num_states, override=tier)
         stats = SolveStats()
-        ladder: tuple = ()
-        guess = initial_guess
-        if cascade and guess is None and chosen == "matrix_free":
-            guess, ladder = self._cascade_guess(space, stats)
-        distribution, used = self._steady_state(space, chosen, guess, stats)
-        return self._diagnostics(
-            self._metrics(space, distribution), used, stats, ladder
-        )
+        distribution, used = self._steady_state(space, chosen, initial_guess, stats)
+        return self._diagnostics(self._metrics(space, distribution), used, stats)
 
     def solve_distribution(
         self,
         population: int,
         tier: str | None = None,
         initial_guess: np.ndarray | None = None,
-        cascade: bool = False,
     ) -> tuple[NetworkStateSpace, np.ndarray, str]:
         """Steady-state distribution (not just metrics) of one population.
 
         Returns ``(space, distribution, tier_used)``.  The piecewise layers
         in :mod:`repro.queueing.transient` chain these distributions across
         segments — as warm starts for the next segment's steady state, or as
-        the initial condition of the next segment's transient.  ``cascade``
-        behaves exactly as in :meth:`solve`.
+        the initial condition of the next segment's transient.
         """
         if population < 1:
             raise ValueError("population must be >= 1")
         space = self.state_space(population)
         chosen = choose_solver_tier(space.num_states, override=tier)
-        guess = initial_guess
-        if cascade and guess is None and chosen == "matrix_free":
-            guess, _ = self._cascade_guess(space, SolveStats())
-        distribution, used = self._steady_state(space, chosen, guess)
+        distribution, used = self._steady_state(space, chosen, initial_guess)
         return space, distribution, used
 
     def solve_sweep(
-        self,
-        populations,
-        tier: str | None = None,
-        cascade: bool = False,
+        self, populations, tier: str | None = None
     ) -> list[MapNetworkResult]:
         """Solve the network for every population in ``populations``.
 
@@ -452,30 +382,15 @@ class MapClosedNetworkSolver:
         calls there and agree to solver tolerance everywhere else.  The
         solver tier is chosen per population (warm starts carry across tier
         boundaries); ``tier`` forces one for the whole sweep.
-
-        ``cascade=True`` inserts the cascade ladder rungs (``N//4``,
-        ``N//2`` of every matrix-free population) as auxiliary populations
-        into the same ascending chain, so even the *smallest* matrix-free
-        population starts from a prolonged coarse solution instead of cold;
-        rung results are not returned.  Each returned result records the
-        rungs that fed it in ``cascade_ladder``.
         """
         requested = [int(n) for n in populations]
         targets = sorted(set(requested))
         for population in targets:
             if population < 1:
                 raise ValueError("population must be >= 1")
-        auxiliary: set[int] = set()
-        if cascade:
-            for population in targets:
-                space = self.state_space(population)
-                if choose_solver_tier(space.num_states, override=tier) == "matrix_free":
-                    auxiliary.update(self._cascade_rungs(population))
-        auxiliary -= set(targets)
-        chain = sorted(set(targets) | auxiliary)
         solved: dict[int, MapNetworkResult] = {}
         previous: tuple[NetworkStateSpace, np.ndarray] | None = None
-        for population in chain:
+        for population in targets:
             space = self.state_space(population)
             chosen = choose_solver_tier(space.num_states, override=tier)
             guess = None
@@ -483,14 +398,9 @@ class MapClosedNetworkSolver:
                 guess = embed_distribution(previous[0], previous[1], space)
             stats = SolveStats()
             distribution, used = self._steady_state(space, chosen, guess, stats)
-            if population in targets:
-                ladder = tuple(
-                    r for r in self._cascade_rungs(population)
-                    if cascade and used == "matrix_free" and r in chain
-                )
-                solved[population] = self._diagnostics(
-                    self._metrics(space, distribution), used, stats, ladder
-                )
+            solved[population] = self._diagnostics(
+                self._metrics(space, distribution), used, stats
+            )
             previous = (space, distribution)
         return [solved[population] for population in requested]
 

@@ -64,6 +64,9 @@ RECORD_BYTES = 16
 
 _RECORD_DTYPE = np.dtype("<i8")
 
+#: Largest single read from a non-seekable trace source (a FIFO).
+_PIPE_READ_BYTES = 1 << 20
+
 
 # ----------------------------------------------------------------------
 # Reading and writing
@@ -105,6 +108,11 @@ def read_trace_chunk(
     Regular files are seeked to the offset; non-seekable sources (FIFOs) are
     read sequentially from wherever they are — they cannot be resumed by
     offset, which the service surfaces by refusing to checkpoint them.
+
+    Memory is bounded by the data actually present, never by
+    ``max_events``: a regular file is read no further than its whole
+    records (per ``os.fstat``), and a FIFO in pieces of at most
+    ``_PIPE_READ_BYTES``.
     """
     if offset_events < 0:
         raise ValueError("offset_events must be non-negative")
@@ -112,13 +120,23 @@ def read_trace_chunk(
         raise ValueError("max_events must be >= 1")
     with open(path, "rb") as stream:
         if stream.seekable():
-            stream.seek(offset_events * RECORD_BYTES)
-        data = stream.read(max_events * RECORD_BYTES)
-    usable = (len(data) // RECORD_BYTES) * RECORD_BYTES
-    if usable == 0:
+            start = offset_events * RECORD_BYTES
+            present = max(0, os.fstat(stream.fileno()).st_size - start) // RECORD_BYTES
+            stream.seek(start)
+            data = stream.read(min(max_events, present) * RECORD_BYTES)
+        else:
+            data = bytearray()
+            limit = max_events * RECORD_BYTES
+            while len(data) < limit:
+                piece = stream.read(min(limit - len(data), _PIPE_READ_BYTES))
+                if not piece:
+                    break
+                data += piece
+    count = len(data) // RECORD_BYTES
+    if count == 0:
         return np.empty((0, 2), dtype=np.int64), offset_events
-    records = np.frombuffer(data[:usable], dtype=_RECORD_DTYPE).reshape(-1, 2)
-    return records.astype(np.int64, copy=False), offset_events + records.shape[0]
+    records = np.frombuffer(data, dtype=_RECORD_DTYPE, count=2 * count).reshape(-1, 2)
+    return records.astype(np.int64, copy=False), offset_events + count
 
 
 class TraceChunkReader:

@@ -289,7 +289,7 @@ class TestCacheRobustness:
         monkeypatch.setattr(cache_module, "source_fingerprint", lambda: "0ff0ba11dead")
         with caplog.at_level(logging.WARNING, logger="repro.experiments.cache"):
             assert runner.cache.load(spec) is None
-            assert runner.cache.load_partial(spec) == {}
+            assert runner.cache.load_resume_state(spec) is None
         assert "different solver/simulator source state" in caplog.text
 
     def test_stale_code_fingerprint_forces_recompute(self, tmp_path, monkeypatch):

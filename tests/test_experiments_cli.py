@@ -189,47 +189,25 @@ class TestFormatTable:
 
 
 class TestCascadeOverride:
-    def test_apply_sets_option_and_renames(self):
-        from repro.experiments.cli import apply_cascade
-
-        spec = get_scenario("fig9")
-        derived = apply_cascade(spec)
-        assert derived.name == "fig9-cascade"
-        for solver in derived.solvers:
-            if solver.kind == "ctmc":
-                assert solver.options["cascade"] is True
-        # The option participates in the content hash: a cascaded run can
-        # never be served from (or poison) the cold run's cache entry.
-        assert derived.hash() != spec.hash()
-
-    def test_apply_rejects_scenarios_without_ctmc(self):
-        from repro.experiments.cli import apply_cascade
-
-        with pytest.raises(ValueError, match="no ctmc solver"):
-            apply_cascade(get_scenario("table1"))
-
-    def test_run_errors_without_ctmc_solver(self, capsys):
-        assert main(["run", "table1", "--cascade", "--no-cache", "--jobs", "1"]) == 2
-        assert "no ctmc solver" in capsys.readouterr().err
+    """CLI sweeps forced onto the matrix-free tier (``--tier matrix_free``)."""
 
     def test_sweep_cascade_records_ladder_and_iterations(self, tmp_path, capsys):
         args = [
             "sweep", "fig9", "--populations", "20,35", "--solvers", "ctmc",
-            "--tier", "matrix_free", "--cascade",
+            "--tier", "matrix_free",
             "--cache-dir", str(tmp_path), "--jobs", "1", "--json",
         ]
         assert main(args) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["name"] == "fig9-sweep-matrix_free-cascade"
+        assert payload["name"] == "fig9-sweep-matrix_free"
         for row in payload["rows"]:
-            assert row["meta"]["cascade"] is True
-            assert row["meta"]["cascade_ladder"]
+            assert row["meta"]["solver_tier"] == "matrix_free"
             assert row["meta"]["krylov_iterations"] >= 1
 
     def test_cascade_cache_resume_is_bit_identical(self, tmp_path, capsys):
         args = [
             "sweep", "fig9", "--populations", "20,35", "--solvers", "ctmc",
-            "--tier", "matrix_free", "--cascade",
+            "--tier", "matrix_free",
             "--cache-dir", str(tmp_path), "--jobs", "1", "--json",
         ]
         assert main(args) == 0
@@ -237,14 +215,6 @@ class TestCascadeOverride:
         assert main(args) == 0
         second = json.loads(capsys.readouterr().out)
         # The resumed run serves every cell from the cache, byte-for-byte:
-        # metrics, timings, and the cascade/iteration diagnostics.
+        # metrics, timings, and the tier/iteration diagnostics.
         assert second["rows"] == first["rows"]
         assert second["spec_hash"] == first["spec_hash"]
-
-    def test_run_cascade_is_inert_on_small_tiers(self, tmp_path, capsys):
-        # smoke's ctmc cells are direct-tier: --cascade must be accepted and
-        # cached under the derived name without changing any result.
-        assert main(["run", "smoke", "--cascade", "--cache-dir", str(tmp_path),
-                     "--jobs", "1", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["name"] == "smoke-cascade"

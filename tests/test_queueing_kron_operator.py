@@ -27,7 +27,7 @@ from repro.queueing.ctmc import _balance_system
 from repro.queueing.kron_operator import (
     LevelSweepPreconditioner,
     MatrixFreeGenerator,
-    TwoLevelPreconditioner,
+    MultilevelPreconditioner,
 )
 from repro.queueing.map_network import MapClosedNetworkSolver
 
@@ -211,7 +211,7 @@ class TestLevelSweepPreconditioner:
         with pytest.raises(ValueError):
             LevelSweepPreconditioner(operator, mode="diag")
 
-    def test_two_level_preconditioned_solve_matches_direct(self, setup):
+    def test_multilevel_preconditioned_solve_matches_direct(self, setup):
         """The production preconditioner must carry a Krylov solve to the
         same steady state the materialized direct solve produces."""
         from repro.queueing.ctmc import steady_state_distribution, steady_state_matrix_free
@@ -224,7 +224,7 @@ class TestLevelSweepPreconditioner:
     def test_linear_operator_view(self, setup):
         space, operator, _, _ = setup
         preconditioner = operator.preconditioner()
-        assert isinstance(preconditioner, TwoLevelPreconditioner)
+        assert isinstance(preconditioner, MultilevelPreconditioner)
         r = np.random.default_rng(10).standard_normal(space.num_states)
         np.testing.assert_array_equal(
             preconditioner.as_linear_operator() @ r, preconditioner.solve(r)

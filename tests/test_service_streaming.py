@@ -1,5 +1,11 @@
 """Streaming ingestion: chunked readers and exactly-mergeable window stats."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -156,6 +162,47 @@ class TestReader:
     def test_rejects_float_records(self, tmp_path):
         with pytest.raises(ValueError, match="quantize"):
             write_trace_records(tmp_path / "t", np.array([0.5]), np.array([1.0]))
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS and /proc")
+    def test_huge_max_events_reads_within_address_cap(self, tmp_path):
+        """``max_events=10**9`` asks for 16 GB; the read must size itself by
+        the records present, so it succeeds under a 4 GiB address-space cap
+        (for a regular file and for a FIFO)."""
+        trace = tmp_path / "t.trace"
+        write_trace_records(trace, np.arange(100, dtype=np.int64) * 5,
+                            np.full(100, 3, dtype=np.int64))
+        script = textwrap.dedent("""
+            import os, resource, sys, threading
+            from repro.service import read_trace_chunk
+
+            trace, fifo = sys.argv[1], sys.argv[2]
+            with open("/proc/self/status") as status:
+                vm_kib = next(int(line.split()[1]) for line in status
+                              if line.startswith("VmSize:"))
+            cap = max(4 << 30, (vm_kib << 10) + (1 << 30))
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+            records, offset = read_trace_chunk(trace, 0, 10**9)
+            assert records.shape == (100, 2) and offset == 100, (records.shape, offset)
+
+            payload = open(trace, "rb").read()
+            os.mkfifo(fifo)
+            def feed():
+                with open(fifo, "wb") as stream:
+                    stream.write(payload)
+            writer = threading.Thread(target=feed)
+            writer.start()
+            piped, _ = read_trace_chunk(fifo, 0, 10**9)
+            writer.join()
+            assert (piped == records).all(), piped.shape
+        """)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(trace), str(tmp_path / "fifo")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 # ----------------------------------------------------------------------

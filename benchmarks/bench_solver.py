@@ -21,7 +21,10 @@ Tracks the performance trajectory of the repository's hottest paths:
   ladder rung would cost minutes, so rungs marked ``scalar_extrapolated``
   price the scalar kernel from its measured per-replication seconds at the
   same horizon (replications are independent runs — the scalar cost is
-  exactly linear in R).
+  exactly linear in R),
+* ``testbed`` — one TPC-W testbed cell (browsing mix, 150 EBs, 150 s after a
+  15 s warm-up, seed 7), the paper's own workload: median seconds of three
+  runs and the completed-transaction count.
 
 Run from the repository root::
 
@@ -39,7 +42,9 @@ compared against the newest history entry *from a comparable environment*
 classes only produce noise) on the overlapping metrics (``exact_solve``
 populations present in both, their Krylov iteration counts — a
 deterministic canary for preconditioner regressions that wall-clock noise
-would hide — and the ``generator_build`` Kronecker time), and
+would hide — the ``generator_build`` Kronecker time, and the ``testbed``
+cell's seconds plus its completed-transaction count, which must match
+exactly as a bit-identity canary), and
 the script exits non-zero when any of them regressed by more than
 ``--gate-threshold`` (default 25%).  A gate-failing run is *not* appended to
 the trajectory — a rerun would otherwise compare the regression against
@@ -77,6 +82,11 @@ SIM_LOOP_POINTS = {
 }
 QUICK_SIM_LOOP = ["R64"]
 FULL_SIM_LOOP = ["R16", "R64", "R256", "R1024"]
+
+#: The ``testbed`` rung: one TPC-W cell, the same in the quick and full grids.
+TESTBED_CELL = {
+    "mix": "browsing", "num_ebs": 150, "duration": 150.0, "warmup": 15.0, "seed": 7,
+}
 
 #: Relative slowdown versus the previous trajectory entry that fails the
 #: ``--quick`` gate.
@@ -288,6 +298,30 @@ def bench_sim_loop(point_keys: list[str]) -> list[dict]:
     return rows
 
 
+def bench_testbed(repeats: int = 3) -> dict:
+    """Median wall time of one TPC-W testbed cell (:data:`TESTBED_CELL`)."""
+    from repro.tpcw.mixes import STANDARD_MIXES
+    from repro.tpcw.testbed import TestbedConfig, TPCWTestbed
+
+    cell = TESTBED_CELL
+    config = TestbedConfig(
+        mix=STANDARD_MIXES[cell["mix"]],
+        num_ebs=cell["num_ebs"],
+        duration=cell["duration"],
+        warmup=cell["warmup"],
+        seed=cell["seed"],
+    )
+    results = []
+    seconds = _median_time(lambda: results.append(TPCWTestbed(config).run()), repeats)
+    completed = results[0].completed_transactions
+    return {
+        **cell,
+        "seconds": seconds,
+        "completed_transactions": completed,
+        "transactions_per_second": completed / seconds,
+    }
+
+
 def run_benchmarks(quick: bool) -> dict:
     import numpy
     import scipy
@@ -315,6 +349,7 @@ def run_benchmarks(quick: bool) -> dict:
             "sweep": bench_sweep(sweep_populations),
             "simulation": bench_simulation(sim_horizon),
             "sim_loop": bench_sim_loop(sim_loop_points),
+            "testbed": bench_testbed(),
         },
     }
 
@@ -347,7 +382,7 @@ def history_entry(document: dict, sha: str) -> dict:
     """Compact trajectory entry for one benchmark run."""
     results = document["results"]
     build = results["generator_build"]
-    return {
+    entry = {
         "sha": sha,
         "date_utc": document["generated_utc"],
         "quick": document["quick"],
@@ -376,6 +411,12 @@ def history_entry(document: dict, sha: str) -> dict:
             for row in results.get("sim_loop", [])
         },
     }
+    if "testbed" in results:
+        entry["testbed"] = {
+            "seconds": results["testbed"]["seconds"],
+            "completed_transactions": results["testbed"]["completed_transactions"],
+        }
+    return entry
 
 
 def load_trajectory(path: str) -> list[dict]:
@@ -430,7 +471,10 @@ def check_regressions(
     this catches preconditioner-quality regressions that wall-clock noise
     would hide — the quick grid's N=100 runs the ILU'd BiCGSTAB), and both
     kernels' seconds of every ``sim_loop`` rung present in both entries
-    (the grids overlap at R64).
+    (the grids overlap at R64), and the ``testbed`` cell when both entries
+    hold one: its seconds at the threshold, its completed-transaction count
+    exactly (the cell is deterministic, so any change in the count means the
+    testbed's trajectory changed).
     """
     messages = []
 
@@ -479,6 +523,16 @@ def check_regressions(
                     point[kernel],
                     baseline_sim_loop[key].get(kernel, 0.0),
                 )
+    testbed, baseline_testbed = entry.get("testbed"), baseline.get("testbed")
+    if testbed and baseline_testbed:
+        compare("testbed.seconds", testbed["seconds"], baseline_testbed["seconds"])
+        current = testbed["completed_transactions"]
+        previous = baseline_testbed["completed_transactions"]
+        if current != previous:
+            messages.append(
+                f"testbed.completed_transactions: {current} vs {previous} "
+                "(must match exactly: the testbed trajectory changed)"
+            )
     return messages
 
 
@@ -555,6 +609,13 @@ def main(argv=None) -> int:
             f"scalar {row['scalar_seconds']:.2f}s{scalar_note} vs "
             f"batched {row['batched_seconds']:.2f}s -> {row['speedup']:.1f}x "
             f"({row['batched_events_per_second']:,.0f} ev/s batched)"
+        )
+    testbed = document["results"].get("testbed")
+    if testbed:
+        print(
+            f"testbed {testbed['mix']} {testbed['num_ebs']} EBs {testbed['duration']:g}s: "
+            f"{testbed['seconds']:.2f}s, {testbed['completed_transactions']} transactions "
+            f"({testbed['transactions_per_second']:,.0f}/s)"
         )
     entries = len(history) if regressions else len(history) + 1
     print(f"wrote {args.output} ({entries} trajectory entries)")

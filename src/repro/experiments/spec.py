@@ -161,6 +161,15 @@ class SyntheticWorkload:
         }
 
 
+def _check_testbed_warmup(warmup: float) -> None:
+    """The warm-up must trim whole windows of the testbed's default series."""
+    from repro.tpcw.testbed import TestbedConfig, check_monitoring_windows
+
+    check_monitoring_windows(
+        warmup, TestbedConfig.utilization_window, TestbedConfig.completion_window
+    )
+
+
 @dataclass(frozen=True)
 class EstimationSpec:
     """How to collect the monitoring run that parameterises fitted models.
@@ -176,6 +185,9 @@ class EstimationSpec:
     duration: float = 800.0
     warmup: float = 60.0
     seed: int = 21
+
+    def __post_init__(self) -> None:
+        _check_testbed_warmup(self.warmup)
 
 
 @dataclass(frozen=True)
@@ -208,6 +220,7 @@ class TestbedWorkload:
             raise ValueError("duration must be positive")
         if self.warmup < 0:
             raise ValueError("warmup must be non-negative")
+        _check_testbed_warmup(self.warmup)
 
     def axes(self) -> dict[str, tuple]:
         return {"mix": tuple(self.mixes), "population": tuple(self.populations)}

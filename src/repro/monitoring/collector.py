@@ -10,7 +10,9 @@ the paper's testbed:
   bottleneck-switch analysis of Figures 6–8).
 
 Simulators call :meth:`ServerMonitor.record_busy`, :meth:`record_completion`
-and :meth:`record_queue_length` as the simulation progresses; at the end,
+and :meth:`record_queue_length` (or :meth:`record_busy_interval`, which
+records busy time and queue length in one pass) as the simulation
+progresses; at the end,
 :meth:`ServerMonitor.series` snapshots everything into an immutable
 :class:`MonitoringSeries` that feeds the model-building pipeline of
 :mod:`repro.core`.
@@ -130,6 +132,16 @@ class ServerMonitor:
 
     def record_queue_length(self, start: float, end: float, queue_length: float) -> None:
         """Record that ``queue_length`` jobs were present over ``[start, end)``."""
+        self._queue.record(start, end, queue_length)
+
+    def record_busy_interval(self, start: float, end: float, queue_length: float) -> None:
+        """Record a busy interval ``[start, end)`` holding ``queue_length`` jobs.
+
+        One call per server and event instead of :meth:`record_busy` followed
+        by :meth:`record_queue_length`; the windows and float operations are
+        the same.
+        """
+        self._busy.record(start, end, 1.0)
         self._queue.record(start, end, queue_length)
 
     def record_completion(self, time: float, count: float = 1.0) -> None:

@@ -27,9 +27,31 @@ interval ``[k*W, (k+1)*W)``.  Concretely:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["CountWindows", "TimeWeightedWindows"]
+
+
+def _first_time(index: int, window: float) -> float:
+    """Smallest non-negative float ``t`` with ``t // window >= index``."""
+    time = index * window
+    while time // window < index:
+        time = math.nextafter(time, math.inf)
+    while time > 0.0 and math.nextafter(time, -math.inf) // window >= index:
+        time = math.nextafter(time, -math.inf)
+    return time
+
+
+def _window_range(index: int, window: float) -> tuple[float, float]:
+    """Exact float range ``[lo, hi)`` of the times ``t`` in window ``index``.
+
+    Float ``//`` is the exact floor of the real quotient, hence monotone in
+    ``t``, so ``lo <= t < hi`` holds exactly when ``int(t // window) ==
+    index``: two comparisons instead of a floor division.
+    """
+    return _first_time(index, window), _first_time(index + 1, window)
 
 
 class CountWindows:
@@ -83,9 +105,20 @@ class TimeWeightedWindows:
             raise ValueError("window must be positive")
         self.window = float(window)
         self._integrals: list[float] = []
+        # The window the last recorded interval ended in, with its exact
+        # float range (see _window_range); none until the first record.
+        self._open_index = -1
+        self._open_lo = self._open_hi = math.inf
 
     def record(self, start: float, end: float, value: float) -> None:
         """Add ``value`` integrated over the interval ``[start, end)``."""
+        if self._open_lo <= start < end < self._open_hi:
+            # Common case: the interval lies inside the window the previous
+            # one ended in.  This is the single-window branch below: lo is at
+            # or above ``index * window``, so ``end > lo`` never triggers the
+            # boundary rule.
+            self._integrals[self._open_index] += value * (end - start)
+            return
         if end < start:
             raise ValueError("end must not precede start")
         if value == 0.0 or end == start:
@@ -101,6 +134,9 @@ class TimeWeightedWindows:
             last -= 1
         if last >= len(self._integrals):
             self._integrals.extend([0.0] * (last + 1 - len(self._integrals)))
+        if last != self._open_index:
+            self._open_index = last
+            self._open_lo, self._open_hi = _window_range(last, self.window)
         if first == last:
             self._integrals[first] += value * (end - start)
             return

@@ -19,7 +19,8 @@ Seed policy
 -----------
 All randomness is drawn from the single ``rng`` passed in, but *in batches*:
 unit-rate exponential and uniform variates are pre-drawn in chunks of
-``RNG_CHUNK`` and consumed from buffers (:class:`_ChunkedDraws`), so the
+``RNG_CHUNK`` and consumed from buffers
+(:class:`~repro.simulation.random_streams.ChunkedDraws`), so the
 event loop pays one numpy call per few thousand events instead of one per
 MAP jump.  *Every* draw goes through the buffers — including the two initial
 service phases, which are sampled by inverse CDF from one buffered uniform
@@ -50,12 +51,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.maps.map_process import MAP
+from repro.simulation.random_streams import RNG_CHUNK, ChunkedDraws
 
 __all__ = ["ClosedNetworkSimResult", "simulate_closed_map_network", "RNG_CHUNK"]
-
-#: Number of variates drawn per numpy call.  Part of the seed policy: the
-#: trajectory of a seeded run depends on this value (see module docstring).
-RNG_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -93,60 +91,10 @@ class ClosedNetworkSimResult:
         }
 
 
-class _ChunkedDraws:
-    """Buffered unit-exponential and uniform draws from one generator.
-
-    Refills in chunks of ``RNG_CHUNK`` (one numpy call per chunk) and hands
-    out plain Python floats, which keeps the per-event cost of the simulation
-    loop at a couple of list indexings instead of numpy method dispatches.
-    """
-
-    __slots__ = ("rng", "_exp", "_exp_pos", "_uni", "_uni_pos", "_uni_refills")
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        self.rng = rng
-        self._exp: list[float] = []
-        self._exp_pos = 0
-        self._uni: list[float] = []
-        self._uni_pos = 0
-        self._uni_refills = 0
-
-    def exponential(self) -> float:
-        """Next unit-rate exponential variate (scale at the call site)."""
-        pos = self._exp_pos
-        if pos >= len(self._exp):
-            self._exp = self.rng.standard_exponential(RNG_CHUNK).tolist()
-            pos = 0
-        self._exp_pos = pos + 1
-        return self._exp[pos]
-
-    def uniform(self) -> float:
-        """Next uniform variate on ``[0, 1)``."""
-        pos = self._uni_pos
-        if pos >= len(self._uni):
-            self._uni = self.rng.random(RNG_CHUNK).tolist()
-            self._uni_refills += 1
-            pos = 0
-        self._uni_pos = pos + 1
-        return self._uni[pos]
-
-    @property
-    def uniforms_consumed(self) -> int:
-        """Uniform variates handed out so far (a free per-jump counter).
-
-        Each MAP jump consumes exactly one uniform (and each initial-phase
-        draw one more), so this counts MAP jumps without touching the hot
-        loop: only the rare refill increments a counter.
-        """
-        if self._uni_refills == 0:
-            return 0
-        return (self._uni_refills - 1) * RNG_CHUNK + self._uni_pos
-
-
 class _MapServiceState:
     """Incremental sampling of a MAP's completion process for one server."""
 
-    def __init__(self, map_process: MAP, draws: _ChunkedDraws) -> None:
+    def __init__(self, map_process: MAP, draws: ChunkedDraws) -> None:
         self.draws = draws
         order = map_process.order
         # Initial phase by inverse CDF from one *buffered* uniform, so every
@@ -225,7 +173,7 @@ def simulate_closed_map_network(
     if rng is None:
         rng = np.random.default_rng()
 
-    draws = _ChunkedDraws(rng)
+    draws = ChunkedDraws(rng)
     front_state = _MapServiceState(front_service, draws)
     db_state = _MapServiceState(db_service, draws)
 

@@ -49,7 +49,7 @@ replication the batched stream is consumed exactly as in
 :mod:`repro.simulation.batched` (two initial-phase uniforms, then
 ``BATCH_RNG_CHUNK``-sized blocks of exponentials / event uniforms /
 destination uniforms).  The scalar kernel draws per step from the chunked
-streams of :class:`~repro.simulation.closed_network._ChunkedDraws` (two
+streams of :class:`~repro.simulation.random_streams.ChunkedDraws` (two
 initial-phase uniforms, then per step one exponential and two uniforms);
 like the static pair, the two backends consume their generators differently
 and give different (equally valid) trajectories for the same seed.
@@ -76,7 +76,7 @@ from repro.simulation.batched import (
     _fold_columns,
     _initial_phase,
 )
-from repro.simulation.closed_network import _ChunkedDraws
+from repro.simulation.random_streams import ChunkedDraws
 
 __all__ = [
     "SegmentSimStats",
@@ -224,7 +224,7 @@ def simulate_timevarying_closed_map_network(
     horizon = _validate_timeline(segments, warmup)
     if rng is None:
         rng = np.random.default_rng()
-    draws = _ChunkedDraws(rng)
+    draws = ChunkedDraws(rng)
     num_segments = len(segments)
     boundaries = np.cumsum([segment.duration for segment in segments])
 

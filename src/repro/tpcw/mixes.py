@@ -19,7 +19,9 @@ the effect of session-level correlation.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -188,6 +190,7 @@ class CustomerBehaviorGraph:
     start_transaction: str = "Home"
     _names: list[str] = field(init=False, repr=False)
     _probabilities: np.ndarray = field(init=False, repr=False)
+    _cdf: list[float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.stickiness < 1.0:
@@ -195,19 +198,31 @@ class CustomerBehaviorGraph:
         if self.start_transaction not in TRANSACTION_CATALOG:
             raise ValueError("unknown start transaction %r" % self.start_transaction)
         self._names, self._probabilities = self.mix.as_arrays()
+        # The cdf numpy's ``Generator.choice(n, p=...)`` builds on every call:
+        # cumulative sum, normalised by its last entry.
+        cdf = self._probabilities.cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf.tolist()
 
     def initial_transaction(self) -> str:
         """The first transaction of a fresh session."""
         return self.start_transaction
 
-    def next_transaction(self, current: str | None, rng: np.random.Generator) -> str:
-        """Sample the next transaction given the current one."""
+    def next_transaction(self, current: str | None, uniform: Callable[[], float]) -> str:
+        """Sample the next transaction given the current one.
+
+        ``uniform()`` returns uniforms on ``[0, 1)``, e.g. ``rng.random``.
+        One is consumed for the stickiness test (only when ``stickiness >
+        0``) and one for the transition, which picks the first cdf entry
+        above it: what ``rng.choice(n, p=...)`` does with its single uniform,
+        so a session fed ``rng.random`` draws the same transactions as
+        ``rng.choice``.
+        """
         if current is None:
-            return self.initial_transaction()
-        if self.stickiness > 0.0 and rng.random() < self.stickiness:
+            return self.start_transaction
+        if self.stickiness > 0.0 and uniform() < self.stickiness:
             return current
-        index = int(rng.choice(len(self._names), p=self._probabilities))
-        return self._names[index]
+        return self._names[bisect_right(self._cdf, uniform())]
 
     def transition_matrix(self) -> tuple[list[str], np.ndarray]:
         """Explicit CBMG transition matrix (rows sum to one)."""

@@ -16,6 +16,20 @@ paper (Figure 3):
 * monitoring hooks that record, exactly like `sar` and HP Diagnostics would,
   per-window utilisations (1 s), completed-request counts (5 s), database
   queue lengths and per-transaction-type in-system counts.
+
+Seed policy
+-----------
+The root seed spawns four single-purpose streams: think times, service
+demands, session navigation and the contention schedule.  The first three
+are read through buffered draws
+(:class:`~repro.simulation.random_streams.ChunkedDraws`): think times and
+demands are unit exponentials scaled at the call site, which numpy defines as
+exactly ``exponential(scale)``, and each navigation step takes one uniform
+for the stickiness test (when stickiness is positive) and one for the
+cdf lookup that ``rng.choice(n, p=...)`` performs.  Because every stream does
+one job, reading it in chunks only draws ahead of what is used: unlike
+:mod:`repro.simulation.closed_network`, the chunk size is not part of the
+trajectory here, and a run gives the same floats as unbuffered draws.
 """
 
 from __future__ import annotations
@@ -28,11 +42,44 @@ from repro.monitoring.collector import MonitoringSeries, ServerMonitor
 from repro.monitoring.windows import TimeWeightedWindows
 from repro.simulation.events import EventQueue
 from repro.simulation.ps_server import ProcessorSharingServer
+from repro.simulation.random_streams import ChunkedDraws
 from repro.tpcw.contention import ContentionConfig, ContentionProcess
 from repro.tpcw.mixes import CustomerBehaviorGraph, TransactionMix
 from repro.tpcw.transactions import TRANSACTION_CATALOG
 
-__all__ = ["TestbedConfig", "TestbedResult", "TPCWTestbed"]
+__all__ = ["TestbedConfig", "TestbedResult", "TPCWTestbed", "check_monitoring_windows"]
+
+
+def _whole_multiple(value: float, unit: float) -> bool:
+    ratio = value / unit
+    return abs(ratio - round(ratio)) <= 1e-9
+
+
+def check_monitoring_windows(
+    warmup: float, utilization_window: float, completion_window: float
+) -> None:
+    """Reject windows that the warm-up trim would leave out of step.
+
+    The warm-up is cut from the utilisation and the completion series by
+    whole windows, and :func:`~repro.tpcw.experiment.measurement_from_series`
+    pairs the two by index, so the completion window must hold a whole number
+    of utilisation windows and the warm-up a whole number of completion
+    windows.
+    """
+    if utilization_window <= 0:
+        raise ValueError("utilization_window must be positive")
+    if completion_window < utilization_window or not _whole_multiple(
+        completion_window, utilization_window
+    ):
+        raise ValueError(
+            f"completion_window ({completion_window:g} s) must be a whole multiple "
+            f"of utilization_window ({utilization_window:g} s)"
+        )
+    if not _whole_multiple(warmup, completion_window):
+        raise ValueError(
+            f"warmup ({warmup:g} s) must be a whole number of "
+            f"{completion_window:g} s completion windows"
+        )
 
 
 @dataclass(frozen=True)
@@ -50,11 +97,13 @@ class TestbedConfig:
     duration:
         Measured experiment duration in seconds (after warm-up).
     warmup:
-        Warm-up period excluded from every reported series and statistic.
+        Warm-up period excluded from every reported series and statistic;
+        a whole number of completion windows.
     utilization_window:
         Granularity of the utilisation / queue-length series (``sar``, 1 s).
     completion_window:
-        Granularity of the completed-request counts (Diagnostics, 5 s).
+        Granularity of the completed-request counts (Diagnostics, 5 s); a
+        whole multiple of ``utilization_window``.
     contention:
         Parameters of the database contention process.
     tracked_transactions:
@@ -88,6 +137,7 @@ class TestbedConfig:
         unknown = set(self.tracked_transactions) - set(TRANSACTION_CATALOG)
         if unknown:
             raise ValueError("unknown tracked transactions: %s" % sorted(unknown))
+        check_monitoring_windows(self.warmup, self.utilization_window, self.completion_window)
 
     @property
     def horizon(self) -> float:
@@ -149,9 +199,9 @@ class TPCWTestbed:
         """Run the experiment and return its monitoring data."""
         config = self.config
         rng = np.random.default_rng(config.seed)
-        think_rng = np.random.default_rng(rng.integers(2**63))
-        demand_rng = np.random.default_rng(rng.integers(2**63))
-        nav_rng = np.random.default_rng(rng.integers(2**63))
+        think_draws = ChunkedDraws(np.random.default_rng(rng.integers(2**63)))
+        demand_draws = ChunkedDraws(np.random.default_rng(rng.integers(2**63)))
+        nav_draws = ChunkedDraws(np.random.default_rng(rng.integers(2**63)))
         contention_rng = np.random.default_rng(rng.integers(2**63))
 
         horizon = config.horizon
@@ -173,10 +223,14 @@ class TPCWTestbed:
 
         events = EventQueue()
         # Per-EB session state: current transaction name (None until first request).
-        current_transaction: dict[int, str | None] = {}
-        request_start: dict[int, float] = {}
+        current_transaction: list[str | None] = [None] * config.num_ebs
+        request_start = [0.0] * config.num_ebs
         front_version = 0
         db_version = 0
+        # Jobs at each server (``num_jobs``, counted here: it changes only on
+        # arrive and complete_next).
+        front_jobs = 0
+        db_jobs = 0
         # Number of contention-sensitive requests currently at the database
         # (drives the cascade of the contention slowdown).
         sensitive_at_db = 0
@@ -186,90 +240,96 @@ class TPCWTestbed:
         response_time_sum = 0.0
         transaction_counts: dict[str, int] = {name: 0 for name in TRANSACTION_CATALOG}
 
-        def schedule_front_completion(now: float) -> int:
-            completion = front.next_completion_time(now)
-            version = front_version
-            if completion is not None:
-                events.schedule(completion, (self._FRONT_DONE, version))
-            return version
-
-        def schedule_db_completion(now: float) -> int:
-            completion = database.next_completion_time(now)
-            version = db_version
-            if completion is not None:
-                events.schedule(completion, (self._DB_DONE, version))
-            return version
+        # Hot-loop bindings: one attribute lookup per run, not per event.
+        think_time = config.think_time
+        think = think_draws.exponential
+        demand = demand_draws.exponential
+        navigate = self._cbmg.next_transaction
+        nav_uniform = nav_draws.uniform
+        front_factor = contention.front_factor
+        db_factor = contention.db_factor
+        schedule = events.schedule
+        pop = events.pop
+        record_front = front_monitor.record_busy_interval
+        record_db = db_monitor.record_busy_interval
+        front_completion = front_monitor.record_completion
+        db_completion = db_monitor.record_completion
+        tracked = [(name, window.record) for name, window in tracked_windows.items()]
+        catalog = TRANSACTION_CATALOG
+        warmup = config.warmup
+        think_end, front_done, db_done = self._THINK_END, self._FRONT_DONE, self._DB_DONE
 
         # Start every EB thinking (staggered by an initial think time).
         for eb in range(config.num_ebs):
-            current_transaction[eb] = None
-            first_think = think_rng.exponential(config.think_time)
-            events.schedule(first_think, (self._THINK_END, eb))
+            schedule(think() * think_time, (think_end, eb))
 
         clock = 0.0
-        catalog = TRANSACTION_CATALOG
-        warmup = config.warmup
-
         while events:
-            event_time, payload = events.pop()
+            event_time, payload = pop()
             if event_time > horizon:
                 break
             # --- record the interval [clock, event_time) with the *current* state
             if event_time > clock:
-                if front.is_busy:
-                    front_monitor.record_busy(clock, event_time)
-                    front_monitor.record_queue_length(clock, event_time, front.num_jobs)
-                if database.is_busy:
-                    db_monitor.record_busy(clock, event_time)
-                    db_monitor.record_queue_length(clock, event_time, database.num_jobs)
-                for name, window in tracked_windows.items():
+                if front_jobs:
+                    record_front(clock, event_time, front_jobs)
+                if db_jobs:
+                    record_db(clock, event_time, db_jobs)
+                for name, record in tracked:
                     count = tracked_counts[name]
                     if count:
-                        window.record(clock, event_time, count)
+                        record(clock, event_time, count)
             clock = event_time
 
             kind = payload[0]
-            if kind == self._THINK_END:
+            if kind == think_end:
                 eb = payload[1]
-                transaction_name = self._cbmg.next_transaction(current_transaction[eb], nav_rng)
+                transaction_name = navigate(current_transaction[eb], nav_uniform)
                 current_transaction[eb] = transaction_name
                 transaction = catalog[transaction_name]
                 request_start[eb] = clock
                 if transaction_name in tracked_counts:
                     tracked_counts[transaction_name] += 1
-                factor = contention.front_factor(clock, transaction)
-                demand = demand_rng.exponential(transaction.front_demand * factor)
-                front.arrive(eb, demand, clock)
+                scale = transaction.front_demand * front_factor(clock, transaction)
+                front.arrive(eb, demand() * scale, clock)
+                front_jobs += 1
                 front_version += 1
-                schedule_front_completion(clock)
-            elif kind == self._FRONT_DONE:
-                version = payload[1]
-                if version != front_version:
+                completion = front.next_completion_time(clock)
+                if completion is not None:
+                    schedule(completion, (front_done, front_version))
+            elif kind == front_done:
+                if payload[1] != front_version:
                     continue  # stale completion event
-                if not front.is_busy:
+                if not front_jobs:
                     continue
                 eb = front.complete_next(clock)
-                front_monitor.record_completion(clock)
+                front_jobs -= 1
+                front_completion(clock)
                 front_version += 1
-                schedule_front_completion(clock)
+                completion = front.next_completion_time(clock)
+                if completion is not None:
+                    schedule(completion, (front_done, front_version))
                 transaction = catalog[current_transaction[eb]]
-                factor = contention.db_factor(clock, transaction, sensitive_at_db)
-                demand = demand_rng.exponential(transaction.db_demand * factor)
+                scale = transaction.db_demand * db_factor(clock, transaction, sensitive_at_db)
                 if transaction.contention_sensitive:
                     sensitive_at_db += 1
-                database.arrive(eb, demand, clock)
+                database.arrive(eb, demand() * scale, clock)
+                db_jobs += 1
                 db_version += 1
-                schedule_db_completion(clock)
+                completion = database.next_completion_time(clock)
+                if completion is not None:
+                    schedule(completion, (db_done, db_version))
             else:  # DB_DONE
-                version = payload[1]
-                if version != db_version:
+                if payload[1] != db_version:
                     continue
-                if not database.is_busy:
+                if not db_jobs:
                     continue
                 eb = database.complete_next(clock)
-                db_monitor.record_completion(clock)
+                db_jobs -= 1
+                db_completion(clock)
                 db_version += 1
-                schedule_db_completion(clock)
+                completion = database.next_completion_time(clock)
+                if completion is not None:
+                    schedule(completion, (db_done, db_version))
                 transaction_name = current_transaction[eb]
                 if catalog[transaction_name].contention_sensitive:
                     sensitive_at_db -= 1
@@ -279,9 +339,7 @@ class TPCWTestbed:
                     completed += 1
                     response_time_sum += clock - request_start[eb]
                     transaction_counts[transaction_name] += 1
-                events.schedule(
-                    clock + think_rng.exponential(config.think_time), (self._THINK_END, eb)
-                )
+                schedule(clock + think() * think_time, (think_end, eb))
 
         # ------------------------------------------------------------------
         # Snapshot the monitoring data and drop the warm-up windows.

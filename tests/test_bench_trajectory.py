@@ -25,8 +25,9 @@ def make_document(
     quick=False,
     python="3.11.7",
     sim_loop=(("R64", 3.0, 0.9),),
+    testbed=None,
 ) -> dict:
-    return {
+    document = {
         "benchmark": "closed MAP network solver + simulator",
         "generated_utc": "2026-07-26T00:00:00+00:00",
         "quick": quick,
@@ -74,6 +75,15 @@ def make_document(
             ],
         },
     }
+    if testbed is not None:
+        seconds, completed = testbed
+        document["results"]["testbed"] = {
+            **bench.TESTBED_CELL,
+            "seconds": seconds,
+            "completed_transactions": completed,
+            "transactions_per_second": completed / seconds,
+        }
+    return document
 
 
 class TestHistoryEntry:
@@ -170,6 +180,25 @@ class TestRegressionGate:
         del old_document["results"]["sim_loop"]
         baseline = bench.history_entry(old_document, sha="old")
         entry = bench.history_entry(make_document(sim_loop=(("R64", 99.0, 99.0),)), sha="new")
+        assert bench.check_regressions(entry, baseline) == []
+
+    def test_testbed_gates_seconds_and_exact_transaction_count(self):
+        baseline = bench.history_entry(make_document(testbed=(1.0, 24976)), sha="old")
+        same = bench.history_entry(make_document(testbed=(1.2, 24976)), sha="new")
+        assert bench.check_regressions(same, baseline) == []
+        slowed = bench.history_entry(make_document(testbed=(1.3, 24976)), sha="new")
+        messages = bench.check_regressions(slowed, baseline)
+        assert len(messages) == 1 and "testbed.seconds" in messages[0]
+        # One transaction more is a trajectory change, however fast the run.
+        drifted = bench.history_entry(make_document(testbed=(0.5, 24977)), sha="new")
+        messages = bench.check_regressions(drifted, baseline)
+        assert len(messages) == 1 and "testbed.completed_transactions" in messages[0]
+
+    def test_testbed_gate_skips_pre_testbed_baselines(self):
+        baseline = bench.history_entry(make_document(), sha="old")
+        assert "testbed" not in baseline
+        entry = bench.history_entry(make_document(testbed=(99.0, 1)), sha="new")
+        assert entry["testbed"] == {"seconds": 99.0, "completed_transactions": 1}
         assert bench.check_regressions(entry, baseline) == []
 
     def test_threshold_is_respected(self):

@@ -164,6 +164,25 @@ class TestValidatePack:
         ):
             validate_pack(payload, source="x.json")
 
+    def test_rejects_testbed_warmup_off_the_completion_windows(self):
+        from repro.experiments.spec import EstimationSpec, TestbedWorkload
+
+        spec = _spec(
+            workload=TestbedWorkload(
+                mixes=("browsing",), populations=(10,), estimation=EstimationSpec()
+            ),
+            solvers=(SolverSpec(kind="testbed"),),
+        )
+        payload = _pack_payload(spec)
+        validate_pack(payload, source="x.json")
+        payload["workload"]["warmup"] = 12.0
+        with pytest.raises(PackValidationError, match="completion windows"):
+            validate_pack(payload, source="x.json")
+        payload["workload"]["warmup"] = 15.0
+        payload["workload"]["estimation"]["warmup"] = 62.5
+        with pytest.raises(PackValidationError, match="completion windows"):
+            validate_pack(payload, source="x.json")
+
     def test_error_message_names_the_source(self):
         with pytest.raises(PackValidationError, match="myfile.json"):
             validate_pack({}, source="myfile.json")

@@ -206,6 +206,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="duplicates"):
             TestbedWorkload(mixes=("browsing",), populations=(25, 25))
 
+    @pytest.mark.parametrize("warmup", [12.0, 13.0, 2.5])
+    def test_testbed_warmup_must_be_whole_completion_windows(self, warmup):
+        # The testbed trims the warm-up by whole 5 s completion windows; any
+        # other warm-up pairs utilisation and completion windows out of step.
+        with pytest.raises(ValueError, match="completion windows"):
+            TestbedWorkload(mixes=("browsing",), populations=(10,), warmup=warmup)
+        with pytest.raises(ValueError, match="completion windows"):
+            EstimationSpec(warmup=warmup)
+        TestbedWorkload(mixes=("browsing",), populations=(10,), warmup=15.0)
+        EstimationSpec(warmup=0.0)
+
     def test_invalid_scv_propagates_instead_of_silently_defaulting(self):
         with pytest.raises(ValueError):
             MapSpec(family="hyperexp_renewal", mean=0.1, scv=0.0).build()

@@ -125,8 +125,73 @@ class TestTimeWeightedWindows:
         assert series.shape == (3,)
         assert series.sum() == pytest.approx(6.0)
 
+    @pytest.mark.parametrize("window", [1.0, 0.1, 0.3, 5.0, 1.0 / 3.0])
+    def test_open_window_fast_path_is_bit_identical(self, rng, window):
+        """Intervals inside the window the previous one ended in take a fast
+        path; the integrals must equal the floor-division rule bit for bit,
+        including intervals that start or end exactly on boundaries."""
+
+        def reference(intervals):
+            integrals = []
+            for start, end, value in intervals:
+                first = int(start // window)
+                last = int(end // window)
+                if end == last * window:
+                    last -= 1
+                if last >= len(integrals):
+                    integrals.extend([0.0] * (last + 1 - len(integrals)))
+                if first == last:
+                    integrals[first] += value * (end - start)
+                    continue
+                integrals[first] += value * ((first + 1) * window - start)
+                for index in range(first + 1, last):
+                    integrals[index] += value * window
+                integrals[last] += value * (end - last * window)
+            return integrals
+
+        times = np.cumsum(rng.exponential(window / 40.0, size=4000))
+        boundaries = np.arange(1, int(times[-1] / window)) * window
+        times = np.sort(np.concatenate([times, boundaries[::3]])).tolist()
+        intervals = [
+            (start, end, float(rng.integers(1, 9)))
+            for start, end in zip(times[:-1], times[1:])
+            if end > start
+        ]
+        windows = TimeWeightedWindows(window)
+        for start, end, value in intervals:
+            windows.record(start, end, value)
+        expected = reference(intervals)
+        assert windows.series(normalize=False).tolist() == expected
+
+    @pytest.mark.parametrize("window", [1.0, 0.1, 0.7, 5.0])
+    def test_window_range_matches_floor_division(self, window):
+        from repro.monitoring.windows import _window_range
+
+        for index in (0, 1, 2, 7, 99, 12345):
+            lo, hi = _window_range(index, window)
+            assert int(lo // window) == index
+            assert int(np.nextafter(hi, -np.inf) // window) == index
+            assert int(hi // window) == index + 1
+            if lo > 0.0:
+                assert int(np.nextafter(lo, -np.inf) // window) == index - 1
+
 
 class TestServerMonitor:
+    def test_busy_interval_equals_busy_and_queue_records(self, rng):
+        fused = ServerMonitor("a", utilization_window=1.0, completion_window=5.0)
+        split = ServerMonitor("b", utilization_window=1.0, completion_window=5.0)
+        clock = 0.0
+        for _ in range(500):
+            end = clock + float(rng.exponential(0.3))
+            jobs = int(rng.integers(1, 6))
+            fused.record_busy_interval(clock, end, jobs)
+            split.record_busy(clock, end)
+            split.record_queue_length(clock, end, jobs)
+            clock = end
+        left, right = fused.series(clock), split.series(clock)
+        assert left.utilization.tolist() == right.utilization.tolist()
+        assert left.queue_length.tolist() == right.queue_length.tolist()
+
     def test_utilization_series(self):
         monitor = ServerMonitor("srv", utilization_window=1.0, completion_window=5.0)
         monitor.record_busy(0.0, 0.5)

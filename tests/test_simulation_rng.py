@@ -13,11 +13,8 @@ import numpy as np
 import pytest
 
 from repro.maps.map2 import map2_exponential, map2_from_moments_and_decay
-from repro.simulation.closed_network import (
-    RNG_CHUNK,
-    _ChunkedDraws,
-    simulate_closed_map_network,
-)
+from repro.simulation.closed_network import simulate_closed_map_network
+from repro.simulation.random_streams import RNG_CHUNK, ChunkedDraws
 
 FRONT = map2_exponential(0.02)
 DB = map2_from_moments_and_decay(0.015, 4.0, 0.95)
@@ -32,7 +29,7 @@ def run(seed: int):
 class TestChunkedDraws:
     def test_exponential_matches_unchunked_stream(self):
         """The buffer hands out exactly the generator's batched draws."""
-        draws = _ChunkedDraws(np.random.default_rng(3))
+        draws = ChunkedDraws(np.random.default_rng(3))
         values = [draws.exponential() for _ in range(RNG_CHUNK + 5)]
         reference_rng = np.random.default_rng(3)
         expected = np.concatenate(
@@ -40,21 +37,31 @@ class TestChunkedDraws:
         )[: len(values)]
         assert values == expected.tolist()
 
+    def test_scaled_exponential_matches_generator_exponential(self):
+        """``scale * exponential()`` from the buffer is bit-identical to
+        repeated ``rng.exponential(scale)`` on the same seed."""
+        draws = ChunkedDraws(np.random.default_rng(9))
+        reference = np.random.default_rng(9)
+        scales = [0.5, 7.0, 0.0123, 1.0, 3.4e-3 * 12.5]
+        for index in range(2 * RNG_CHUNK + 7):
+            scale = scales[index % len(scales)]
+            assert draws.exponential() * scale == reference.exponential(scale)
+
     def test_uniform_in_unit_interval(self):
-        draws = _ChunkedDraws(np.random.default_rng(4))
+        draws = ChunkedDraws(np.random.default_rng(4))
         values = [draws.uniform() for _ in range(1000)]
         assert all(0.0 <= value < 1.0 for value in values)
 
     def test_streams_independent_of_interleaving_type(self):
         """Exponential and uniform buffers refill independently."""
-        draws = _ChunkedDraws(np.random.default_rng(5))
+        draws = ChunkedDraws(np.random.default_rng(5))
         first_exp = draws.exponential()
         _ = [draws.uniform() for _ in range(10)]
-        draws2 = _ChunkedDraws(np.random.default_rng(5))
+        draws2 = ChunkedDraws(np.random.default_rng(5))
         assert first_exp == draws2.exponential()
 
     def test_uniform_consumption_counter(self):
-        draws = _ChunkedDraws(np.random.default_rng(6))
+        draws = ChunkedDraws(np.random.default_rng(6))
         assert draws.uniforms_consumed == 0
         for expected in range(1, RNG_CHUNK + 3):
             draws.uniform()
@@ -65,7 +72,7 @@ class TestChunkedDraws:
         generator call — every draw of a run flows through the streams."""
         from repro.simulation.closed_network import _MapServiceState
 
-        draws = _ChunkedDraws(np.random.default_rng(8))
+        draws = ChunkedDraws(np.random.default_rng(8))
         _MapServiceState(DB, draws)
         assert draws.uniforms_consumed == 1
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.simulation.random_streams import ChunkedDraws
 from repro.tpcw import (
     BROWSING_MIX,
     ORDERING_MIX,
@@ -94,14 +95,14 @@ class TestCustomerBehaviorGraph:
     def test_sessions_start_at_home(self):
         cbmg = CustomerBehaviorGraph(BROWSING_MIX)
         assert cbmg.initial_transaction() == "Home"
-        assert cbmg.next_transaction(None, np.random.default_rng(0)) == "Home"
+        assert cbmg.next_transaction(None, np.random.default_rng(0).random) == "Home"
 
     def test_stationary_distribution_matches_mix(self, rng):
         cbmg = CustomerBehaviorGraph(ORDERING_MIX)
         current = None
         counts = {}
         for _ in range(30000):
-            current = cbmg.next_transaction(current, rng)
+            current = cbmg.next_transaction(current, rng.random)
             counts[current] = counts.get(current, 0) + 1
         for name, weight in ORDERING_MIX.weights.items():
             if weight > 0.05:
@@ -113,9 +114,29 @@ class TestCustomerBehaviorGraph:
         count_home = 0
         total = 40000
         for _ in range(total):
-            current = cbmg.next_transaction(current, rng)
+            current = cbmg.next_transaction(current, rng.random)
             count_home += current == "Home"
         assert count_home / total == pytest.approx(SHOPPING_MIX.probability("Home"), rel=0.2)
+
+    @pytest.mark.parametrize("stickiness", [0.0, 0.5])
+    @pytest.mark.parametrize("mix_name", sorted(STANDARD_MIXES))
+    def test_cdf_step_matches_rng_choice(self, mix_name, stickiness):
+        """The cdf + bisect step on buffered uniforms draws exactly what
+        ``rng.random()`` / ``rng.choice(n, p=...)`` draw on the same seed."""
+        mix = STANDARD_MIXES[mix_name]
+        cbmg = CustomerBehaviorGraph(mix, stickiness=stickiness)
+        names, probabilities = mix.as_arrays()
+        draws = ChunkedDraws(np.random.default_rng(77))
+        reference = np.random.default_rng(77)
+        current = expected = "Home"
+        visited = set()
+        for _ in range(10_000):
+            current = cbmg.next_transaction(current, draws.uniform)
+            if not (stickiness > 0.0 and reference.random() < stickiness):
+                expected = names[int(reference.choice(len(names), p=probabilities))]
+            assert current == expected
+            visited.add(current)
+        assert len(visited) >= 12
 
     def test_transition_matrix_rows_sum_to_one(self):
         names, matrix = CustomerBehaviorGraph(BROWSING_MIX, stickiness=0.3).transition_matrix()
@@ -154,6 +175,26 @@ class TestContention:
         for start, end in process.episodes:
             middle = (start + end) / 2.0
             assert process.is_contended(middle)
+
+    def test_is_contended_is_episode_membership(self, rng):
+        """Half-open episodes: contended from the start, not at the end."""
+        process = ContentionProcess(ContentionConfig(), 3000.0, rng)
+        episodes = process.episodes
+        assert len(episodes) >= 10
+
+        def member(time):
+            return any(start <= time < end for start, end in episodes)
+
+        probes = [0.0, 3000.0]
+        for start, end in episodes:
+            probes += [start, end, (start + end) / 2.0]
+            probes += [np.nextafter(start, -np.inf), np.nextafter(end, -np.inf)]
+        probes += rng.uniform(0.0, 3000.0, size=2000).tolist()
+        for time in probes:
+            assert process.is_contended(float(time)) is member(time)
+        for start, end in episodes:
+            assert process.is_contended(start)
+            assert not process.is_contended(end)
 
     def test_factor_outside_episode_is_one(self, rng):
         process = ContentionProcess(ContentionConfig(), 500.0, rng, start_in_contention=False)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -91,7 +93,20 @@ class TestTestbedBasics:
         )
         first = TPCWTestbed(config).run()
         second = TPCWTestbed(config).run()
-        assert first.throughput == pytest.approx(second.throughput, rel=1e-12)
+        for name in ("front", "database"):
+            for field in ("utilization", "completions", "queue_length"):
+                assert np.array_equal(
+                    getattr(getattr(first, name), field), getattr(getattr(second, name), field)
+                )
+        assert first.tracked_in_system.keys() == second.tracked_in_system.keys()
+        for name, series in first.tracked_in_system.items():
+            assert np.array_equal(series, second.tracked_in_system[name])
+        assert first.throughput == second.throughput
+        assert first.completed_transactions == second.completed_transactions
+        assert first.transaction_counts == second.transaction_counts
+        assert first.mean_response_time == second.mean_response_time
+        assert first.contention_episodes == second.contention_episodes
+        assert _digest(first) == _digest(second)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -100,6 +115,28 @@ class TestTestbedBasics:
             TestbedConfig(mix=BROWSING_MIX, num_ebs=10, think_time=0.0)
         with pytest.raises(ValueError):
             TestbedConfig(mix=BROWSING_MIX, num_ebs=10, tracked_transactions=("Nope",))
+
+    @pytest.mark.parametrize("warmup", [12.0, 13.0])
+    def test_warmup_off_the_completion_windows_rejected(self, warmup):
+        # A 12 s warm-up trimmed 12 utilisation windows but round(12 / 5) = 2
+        # completion windows: 9 completion windows for 8 utilisation groups,
+        # each pair 2 s out of step once measurement_from_series zipped them.
+        with pytest.raises(ValueError, match="completion windows"):
+            TestbedConfig(
+                mix=ORDERING_MIX, num_ebs=20, duration=40.0, warmup=warmup, seed=9
+            )
+
+    def test_completion_window_must_hold_whole_utilization_windows(self):
+        with pytest.raises(ValueError, match="whole multiple"):
+            TestbedConfig(
+                mix=ORDERING_MIX, num_ebs=20, warmup=0.0,
+                utilization_window=2.0, completion_window=5.0,
+            )
+        with pytest.raises(ValueError, match="whole multiple"):
+            TestbedConfig(
+                mix=ORDERING_MIX, num_ebs=20, warmup=0.0,
+                utilization_window=5.0, completion_window=1.0,
+            )
 
 
 class TestMixDifferences:
@@ -151,3 +188,73 @@ class TestExperimentDrivers:
         )
         prediction = model.predict(20)
         assert 0 < prediction.throughput <= 40.0 / 0.5
+
+
+def _digest(result) -> str:
+    """SHA-256 over every output array and count of a testbed run."""
+    digest = hashlib.sha256()
+    for series in (result.front, result.database):
+        for values in (series.utilization, series.completions, series.queue_length):
+            digest.update(np.ascontiguousarray(values, dtype=np.float64).tobytes())
+    for name in sorted(result.tracked_in_system):
+        digest.update(name.encode())
+        digest.update(
+            np.ascontiguousarray(result.tracked_in_system[name], dtype=np.float64).tobytes()
+        )
+    scalars = (
+        result.throughput,
+        result.completed_transactions,
+        sorted(result.transaction_counts.items()),
+        result.mean_response_time,
+        result.contention_episodes,
+    )
+    digest.update(repr(scalars).encode())
+    return digest.hexdigest()
+
+
+_PINNED_RUN = dict(num_ebs=40, duration=60.0, warmup=10.0, seed=1)
+
+
+class TestPinnedTrajectories:
+    """Short seeded runs whose every output float is pinned.
+
+    Any change to the draw order, the float operations of the event loop or
+    the window binning changes a digest.  The contention schedule of seed 1
+    holds two episodes, so the default cases exercise the slowdown path and
+    the disabled case differs from the browsing one.
+    """
+
+    @pytest.mark.parametrize(
+        "mix, overrides, expected",
+        [
+            (
+                BROWSING_MIX,
+                {},
+                "7256a3a641902d13d015e27e836c68bfa3bd77496f48f7e1eedb8f20095f96d8",
+            ),
+            (
+                SHOPPING_MIX,
+                {},
+                "5695f067194aef3981e8e6acc894a56eb27c4d008fdc3897d3a0431b29cfa292",
+            ),
+            (
+                ORDERING_MIX,
+                {},
+                "5dc3ea7505315c68c2357c990d0ed647f8767ab33569d586d4948a7362655eb6",
+            ),
+            (
+                BROWSING_MIX,
+                {"cbmg_stickiness": 0.3},
+                "32d41397def4fc44718428350c0c816c432a359e558c3ca11309bf544e698893",
+            ),
+            (
+                BROWSING_MIX,
+                {"contention": ContentionConfig(enabled=False)},
+                "ad615855d017e6aea8c1c7bf006c4cf88ec2c611a5701a34be05e025f2db7e63",
+            ),
+        ],
+        ids=["browsing", "shopping", "ordering", "browsing-sticky", "browsing-no-contention"],
+    )
+    def test_digest_pinned(self, mix, overrides, expected):
+        config = TestbedConfig(mix=mix, **_PINNED_RUN, **overrides)
+        assert _digest(TPCWTestbed(config).run()) == expected

@@ -19,9 +19,10 @@ runner:
 * :mod:`~repro.experiments.runner` — multiprocessing fan-out that streams
   completed cells into the store as they finish,
 * :mod:`~repro.experiments.supervision` — the fault-tolerant execution
-  envelope around the fan-out: per-cell timeouts, bounded retries with
-  backoff, crash isolation and a failure budget, with deterministic fault
-  injection (:mod:`~repro.experiments.faults`) for chaos tests,
+  envelope around the pool fan-out and every fleet unit: per-cell
+  timeouts, bounded retries with backoff, crash isolation and a failure
+  budget, with deterministic fault injection
+  (:mod:`~repro.experiments.faults`) for chaos tests,
 * :mod:`~repro.experiments.fleet` — crash-tolerant distributed campaigns:
   a file-backed work queue inside the run directory, leased stateless
   workers (atomic lease files, heartbeats, exactly-once commit markers)

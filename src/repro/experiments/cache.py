@@ -194,6 +194,20 @@ def manifest_record(key: str, row: CellResult) -> dict:
     return record
 
 
+def rows_from_records(records: list[dict], directory: Path) -> dict[str, CellResult]:
+    """Rows of :func:`manifest_record` documents, artifacts as lazy refs.
+
+    Raises ``KeyError``/``TypeError``/``ValueError`` on malformed records.
+    """
+    rows: dict[str, CellResult] = {}
+    for record in records:
+        row = CellResult.from_dict(record)
+        if record.get("artifact") is not None:
+            row = row.with_artifact(ArtifactRef.from_dict(record["artifact"], directory))
+        rows[record["key"]] = row
+    return rows
+
+
 def manifest_fingerprint(path: str | os.PathLike) -> str:
     """Digest of a run manifest over its *computed* content only.
 
@@ -532,15 +546,7 @@ class ResultCache:
     ) -> dict[str, CellResult] | None:
         directory = self.path(spec)
         try:
-            rows: dict[str, CellResult] = {}
-            for record in manifest["rows"]:
-                row = CellResult.from_dict(record)
-                if record.get("artifact") is not None:
-                    row = row.with_artifact(
-                        ArtifactRef.from_dict(record["artifact"], directory)
-                    )
-                rows[record["key"]] = row
-            return rows
+            return rows_from_records(manifest["rows"], directory)
         except (KeyError, TypeError, ValueError) as error:
             logger.warning(
                 "treating malformed cache manifest in %s as a miss: %s", directory, error
@@ -843,6 +849,10 @@ class CacheWriter:
             stored = row if keep_in_memory else row.with_artifact(ref)
             self._records[key] = self._record(key, row.with_artifact(ref))
         else:
+            if isinstance(row.artifact, ArtifactRef):
+                # Written into this run directory by a fleet worker.
+                self.artifacts_written += 1
+                self.bytes_written += row.artifact.nbytes
             self._records[key] = self._record(key, row)
         self._write_manifest(status="partial")
         return stored
@@ -858,36 +868,10 @@ class CacheWriter:
         self._records.pop(failure.key, None)
         self._write_manifest(status="partial")
 
-    def absorb_record(self, record: dict) -> None:
-        """Merge one pre-serialised row record without rewriting the manifest.
-
-        The fleet merge path: workers persist :func:`manifest_record`
-        documents (artifact refs included — the side-files are already on
-        disk) into per-unit result shards, and the merging process absorbs
-        every shard here before one :meth:`write_partial` /
-        :meth:`finalize`.  A computed cell supersedes any failure record of
-        the same key, exactly like :meth:`add`.
-        """
-        key = record["key"]
-        self._failures.pop(key, None)
-        self._records[key] = dict(record)
-
-    def absorb_failure_record(self, record: dict) -> None:
-        """Merge one pre-serialised failure record (fleet merge path).
-
-        A completed row of the same key wins — a unit that failed on one
-        worker but was later computed by another is not a failure.
-        """
-        key = record["key"]
-        if key not in self._records:
-            self._failures[key] = dict(record)
-
     def write_partial(self, elapsed_seconds: float = 0.0) -> Path:
         """Persist the current state with ``status: "partial"`` (resumable).
 
-        The graceful-shutdown path of the fleet supervisor: on SIGINT /
-        SIGTERM it absorbs every committed shard and writes one resumable
-        partial manifest before releasing the campaign's leases and exiting.
+        Used by a fleet fetch of a campaign that has not settled yet.
         """
         self._write_manifest(status="partial", elapsed_seconds=elapsed_seconds)
         return self.directory

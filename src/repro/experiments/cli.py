@@ -114,6 +114,7 @@ from repro.experiments.cache import ResultCache, default_cache_dir
 from repro.experiments.fleet import (
     CampaignInterrupted,
     FleetPolicy,
+    FleetQueue,
     campaign_status,
     fetch_campaign,
     submit_campaign,
@@ -251,6 +252,19 @@ def _add_runner_arguments(command) -> None:
         help="kill a work unit's worker after this many wall-clock seconds "
         "per attempt (default: no timeout)",
     )
+    _add_retry_arguments(command)
+    command.add_argument(
+        "--backend",
+        choices=EXECUTION_BACKENDS,
+        default="pool",
+        help="execution backend: 'pool' — supervisor-owned worker processes "
+        "(default); 'fleet' — leased stateless workers over the on-disk "
+        "work queue (crash-tolerant, requires the cache)",
+    )
+    _add_fleet_policy_arguments(command)
+
+
+def _add_retry_arguments(command) -> None:
     command.add_argument(
         "--retries",
         type=_nonnegative_int,
@@ -266,15 +280,6 @@ def _add_runner_arguments(command) -> None:
         "within the budget the run degrades to a partial result and exits 3 "
         "(default: 0 — any permanent failure aborts)",
     )
-    command.add_argument(
-        "--backend",
-        choices=EXECUTION_BACKENDS,
-        default="pool",
-        help="execution backend: 'pool' — supervisor-owned worker processes "
-        "(default); 'fleet' — leased stateless workers over the on-disk "
-        "work queue (crash-tolerant, requires the cache)",
-    )
-    _add_fleet_policy_arguments(command)
 
 
 def _add_fleet_policy_arguments(command) -> None:
@@ -290,7 +295,7 @@ def _add_fleet_policy_arguments(command) -> None:
         default=None,
         metavar="SECONDS",
         help="seconds without a lease heartbeat before a fleet unit is "
-        "reaped and requeued (fleet backend; default: 30)",
+        "reaped and freed for another claim (fleet backend; default: 30)",
     )
 
 
@@ -447,19 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--force", action="store_true",
             help="discard committed units and recompute the whole grid",
         )
-        command.add_argument(
-            "--retries",
-            type=_nonnegative_int,
-            default=None,
-            help="re-attempts of a crashed/stalled/erroring unit (default: 2)",
-        )
-        command.add_argument(
-            "--max-failures",
-            type=_nonnegative_int,
-            default=None,
-            help="cells allowed to fail permanently before the campaign "
-            "aborts (default: 0)",
-        )
+        _add_retry_arguments(command)
         _add_fleet_policy_arguments(command)
     fleet_work.add_argument(
         "--json", action="store_true", help="print the raw result JSON"
@@ -593,12 +586,16 @@ def _format_bytes(num_bytes: float) -> str:
 
 
 def _supervision_from_args(args) -> SupervisionPolicy | None:
-    """A policy when any supervision flag was given, else ``None`` (defaults)."""
-    if args.cell_timeout is None and args.retries is None and args.max_failures is None:
+    """A policy when any supervision flag was given, else ``None`` (defaults).
+
+    The ``fleet`` subcommands have no ``--cell-timeout``.
+    """
+    cell_timeout = getattr(args, "cell_timeout", None)
+    if cell_timeout is None and args.retries is None and args.max_failures is None:
         return None
     defaults = SupervisionPolicy()
     return SupervisionPolicy(
-        cell_timeout=args.cell_timeout,
+        cell_timeout=cell_timeout,
         retries=args.retries if args.retries is not None else defaults.retries,
         max_failures=(
             args.max_failures if args.max_failures is not None else defaults.max_failures
@@ -609,25 +606,14 @@ def _supervision_from_args(args) -> SupervisionPolicy | None:
 def _fleet_policy_from_args(args) -> FleetPolicy:
     """Fleet knobs from CLI flags; unset flags keep the policy defaults.
 
-    ``--jobs`` and ``--cell-timeout`` (present on ``run``/``sweep`` but not
-    on the ``fleet`` subcommands) double as fallbacks for ``--workers`` and
-    ``--lease-timeout``, so ``run --backend fleet --jobs 4`` does what it
-    reads like.
+    ``--jobs`` (present on ``run``/``sweep`` but not on the ``fleet``
+    subcommands) doubles as the fallback for ``--workers``, so
+    ``run --backend fleet --jobs 4`` does what it reads like.
     """
     defaults = FleetPolicy()
-    retries = getattr(args, "retries", None)
-    max_failures = getattr(args, "max_failures", None)
-    workers = args.workers
-    if workers is None:
-        workers = getattr(args, "jobs", None) or defaults.workers
-    lease_timeout = args.lease_timeout
-    if lease_timeout is None:
-        lease_timeout = getattr(args, "cell_timeout", None) or defaults.lease_timeout
     return FleetPolicy(
-        workers=workers,
-        lease_timeout=lease_timeout,
-        max_attempts=1 + retries if retries is not None else defaults.max_attempts,
-        max_failures=max_failures if max_failures is not None else defaults.max_failures,
+        workers=args.workers or getattr(args, "jobs", None) or defaults.workers,
+        lease_timeout=args.lease_timeout or defaults.lease_timeout,
     )
 
 
@@ -648,7 +634,7 @@ def _print_failures(result: ExperimentResult) -> None:
     print()
 
 
-def _print_run_outcome(spec: ScenarioSpec, result: ExperimentResult, runner, cache_dir) -> None:
+def _print_run_outcome(spec: ScenarioSpec, result: ExperimentResult, runner) -> None:
     source = "cache" if result.from_cache else f"computed in {result.elapsed_seconds:.1f}s"
     meta = result.meta
     accounting = ""
@@ -680,7 +666,7 @@ def _print_run_outcome(spec: ScenarioSpec, result: ExperimentResult, runner, cac
             "(recorded in the run manifest; re-running the scenario retries "
             "exactly those cells)"
         )
-    if cache_dir is not None and not result.from_cache:
+    if runner.cache is not None and not result.from_cache:
         print(f"cached at {runner.cache.path(spec)}")
 
 
@@ -717,39 +703,58 @@ def _cmd_run(args, spec) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    runner = _runner_from_args(args)
+    if runner is None:
+        return 2
+    return _run_one(
+        args, runner, spec,
+        "completed cells remain cached; re-running the scenario resumes from them",
+    )
+
+
+def _run_one(args, runner: ExperimentRunner, spec: ScenarioSpec, resume_hint: str) -> int:
+    """Run one spec and print it (``--json`` or the table); the exit code."""
+    results = _run_specs(runner, [spec], args.force, resume_hint)
+    if isinstance(results, int):
+        return results
+    if args.json:
+        print(results[0].to_json())
+    else:
+        _print_run_outcome(spec, results[0], runner)
+    return 3 if results[0].failures else 0
+
+
+def _runner_from_args(args) -> ExperimentRunner | None:
+    """The runner the ``run``/``sweep`` flags ask for; ``None`` on misuse."""
     if args.backend == "fleet" and args.no_cache:
         print(
             "error: --backend fleet needs the cache (its work queue lives in "
             "the run directory); drop --no-cache",
             file=sys.stderr,
         )
-        return 2
-    cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
-    runner = ExperimentRunner(
-        cache_dir=cache_dir,
+        return None
+    return ExperimentRunner(
+        cache_dir=None if args.no_cache else (args.cache_dir or default_cache_dir()),
         jobs=args.jobs,
         supervision=_supervision_from_args(args),
         backend=args.backend,
         fleet=_fleet_policy_from_args(args) if args.backend == "fleet" else None,
     )
+
+
+def _run_specs(
+    runner: ExperimentRunner, specs: list[ScenarioSpec], force: bool, resume_hint: str
+) -> list[ExperimentResult] | int:
+    """Run every spec; exit code 1 when the failure budget or a signal aborts."""
     try:
-        result = runner.run(spec, force=args.force)
+        return [runner.run(spec, force=force) for spec in specs]
     except FailureBudgetExceeded as error:
         print(f"error: {error}", file=sys.stderr)
-        print(
-            "aborted: completed cells remain cached; re-running the scenario "
-            "resumes from them",
-            file=sys.stderr,
-        )
+        print(f"aborted: {resume_hint}", file=sys.stderr)
         return 1
     except CampaignInterrupted as error:
         print(f"interrupted: {error}", file=sys.stderr)
         return 1
-    if args.json:
-        print(result.to_json())
-    else:
-        _print_run_outcome(spec, result, runner, cache_dir)
-    return 3 if result.failures else 0
 
 
 def build_sweep_spec(
@@ -820,34 +825,15 @@ def _cmd_sweep(args, base: ScenarioSpec) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.backend == "fleet" and args.no_cache:
-        print(
-            "error: --backend fleet needs the cache (its work queue lives in "
-            "the run directory); drop --no-cache",
-            file=sys.stderr,
-        )
+    runner = _runner_from_args(args)
+    if runner is None:
         return 2
-    cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
-    runner = ExperimentRunner(
-        cache_dir=cache_dir,
-        jobs=args.jobs,
-        supervision=_supervision_from_args(args),
-        backend=args.backend,
-        fleet=_fleet_policy_from_args(args) if args.backend == "fleet" else None,
+    results = _run_specs(
+        runner, specs, args.force,
+        "completed cells remain cached; re-running the sweep resumes from them",
     )
-    try:
-        results = [runner.run(spec, force=args.force) for spec in specs]
-    except FailureBudgetExceeded as error:
-        print(f"error: {error}", file=sys.stderr)
-        print(
-            "aborted: completed cells remain cached; re-running the sweep "
-            "resumes from them",
-            file=sys.stderr,
-        )
-        return 1
-    except CampaignInterrupted as error:
-        print(f"interrupted: {error}", file=sys.stderr)
-        return 1
+    if isinstance(results, int):
+        return results
     if args.json:
         if len(results) == 1:
             print(results[0].to_json())
@@ -855,7 +841,7 @@ def _cmd_sweep(args, base: ScenarioSpec) -> int:
             print("[" + ",\n".join(result.to_json() for result in results) + "]")
     else:
         for spec, result in zip(specs, results):
-            _print_run_outcome(spec, result, runner, cache_dir)
+            _print_run_outcome(spec, result, runner)
     return 3 if any(result.failures for result in results) else 0
 
 
@@ -1032,12 +1018,22 @@ def _print_campaign_status(status: dict) -> None:
     )
 
 
+def _no_campaign(spec: ScenarioSpec, cache: ResultCache) -> int:
+    print(
+        f"error: no fleet campaign for scenario {spec.name!r} "
+        f"[{spec.hash()}] in {cache.directory}",
+        file=sys.stderr,
+    )
+    return 1
+
+
 def _cmd_fleet(args, spec) -> int:
     """The async campaign verbs; see the module docstring's exit-code notes."""
     cache = ResultCache(args.cache_dir or default_cache_dir())
     if args.fleet_command == "submit":
         status = submit_campaign(
-            cache, spec, _fleet_policy_from_args(args), force=args.force
+            cache, spec, _fleet_policy_from_args(args),
+            _supervision_from_args(args), force=args.force,
         )
         if status.get("complete"):
             print(
@@ -1053,29 +1049,22 @@ def _cmd_fleet(args, spec) -> int:
         )
         return 0
     if args.fleet_command == "work":
+        # Without flags, keep the retry policy the campaign was submitted with.
+        supervision = _supervision_from_args(args)
+        queue = FleetQueue(cache.path(spec))
+        if supervision is None and queue.load_campaign():
+            supervision = queue.supervision
         runner = ExperimentRunner(
             cache_dir=cache.directory,
             backend="fleet",
             fleet=_fleet_policy_from_args(args),
+            supervision=supervision,
         )
-        try:
-            result = runner.run(spec, force=args.force)
-        except FailureBudgetExceeded as error:
-            print(f"error: {error}", file=sys.stderr)
-            print(
-                "aborted: committed units remain merged in the partial "
-                "manifest; `fleet work` again to resume",
-                file=sys.stderr,
-            )
-            return 1
-        except CampaignInterrupted as error:
-            print(f"interrupted: {error}", file=sys.stderr)
-            return 1
-        if args.json:
-            print(result.to_json())
-        else:
-            _print_run_outcome(spec, result, runner, cache.directory)
-        return 3 if result.failures else 0
+        return _run_one(
+            args, runner, spec,
+            "committed units remain merged in the partial manifest; "
+            "`fleet work` again to resume",
+        )
     if args.fleet_command == "status":
         status = campaign_status(cache, spec)
         if status is None:
@@ -1085,12 +1074,7 @@ def _cmd_fleet(args, spec) -> int:
                     f"cache at {cache.path(spec)} (no campaign queue)"
                 )
                 return 0
-            print(
-                f"error: no fleet campaign for scenario {spec.name!r} "
-                f"[{spec.hash()}] in {cache.directory}",
-                file=sys.stderr,
-            )
-            return 1
+            return _no_campaign(spec, cache)
         _print_campaign_status(status)
         live = [w for w in status["workers"] if w.get("state") != "exited"]
         print(f"{len(live)} worker(s) with heartbeat files (see `fleet workers`)")
@@ -1109,12 +1093,7 @@ def _cmd_fleet(args, spec) -> int:
                         f"{len(cached.rows)} cells (cache; no campaign queue)"
                     )
                 return 0
-            print(
-                f"error: no fleet campaign for scenario {spec.name!r} "
-                f"[{spec.hash()}] in {cache.directory}",
-                file=sys.stderr,
-            )
-            return 1
+            return _no_campaign(spec, cache)
         if state == "in-progress":
             print(
                 "campaign in progress: committed units merged into a "
@@ -1133,12 +1112,7 @@ def _cmd_fleet(args, spec) -> int:
     # workers
     status = campaign_status(cache, spec)
     if status is None:
-        print(
-            f"error: no fleet campaign for scenario {spec.name!r} "
-            f"[{spec.hash()}] in {cache.directory}",
-            file=sys.stderr,
-        )
-        return 1
+        return _no_campaign(spec, cache)
     if not status["workers"]:
         print("no worker heartbeat files")
         return 0

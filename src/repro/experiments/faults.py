@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the supervised runner.
+"""Deterministic fault injection for the supervised runner and the fleet.
 
 Chaos testing needs cells that fail *on demand and reproducibly* — a crash
 here, a hang there, a corrupt payload — without littering solver code with
@@ -14,10 +14,14 @@ Grammar: ``;``-separated directives, each ``kind:pattern[:max_attempts]``.
     segfaults), ``hang`` — the worker sleeps forever (simulates a stuck
     scipy call; the supervisor's per-cell timeout reaps it), ``error`` —
     the worker raises ``InjectedFault``, ``corrupt`` — the worker returns a
-    structurally broken payload the parent must reject.
+    structurally broken payload the parent must reject.  These four fire
+    inside the child process of :func:`~repro.experiments.supervision.run_supervised`,
+    on either execution backend (a fleet worker runs its unit through the
+    same envelope), and the attempt number is the supervised attempt.
 
-    Three further kinds target the distributed fleet backend
-    (:mod:`repro.experiments.fleet`): ``worker-kill`` — the claiming worker
+    Three further kinds target the workers of the distributed fleet backend
+    (:mod:`repro.experiments.fleet`) and match against the unit's *claim*
+    number: ``worker-kill`` — the claiming worker
     SIGKILLs its own process (simulates an OOM-killed or power-cycled host;
     the supervisor reaps the orphaned lease), ``lease-stall`` — the worker
     stops heartbeating while holding its lease (simulates a hung host; the
@@ -41,8 +45,8 @@ Grammar: ``;``-separated directives, each ``kind:pattern[:max_attempts]``.
     on.
 
     Each execution context only honours the kinds it understands (see
-    :func:`matching_directive`'s ``kinds`` filter), so a fleet or service
-    spec is inert under the pool runner and vice versa.
+    :func:`matching_directive`'s ``kinds`` filter), so fleet kinds are inert
+    under the pool backend and service kinds outside the service.
 ``pattern``
     matched as a substring of the cell key
     (``scenario/solver_label/params/repN``); ``*`` matches every cell.
@@ -91,17 +95,11 @@ FAULT_KINDS = (
     "ingest-stall",
 )
 
-#: Kinds the per-cell supervision envelope (pool backend) interprets.
+#: Kinds the per-cell supervision envelope interprets (pool and fleet units).
 POOL_FAULT_KINDS = frozenset({"crash", "hang", "error", "corrupt"})
 
-#: Kinds the distributed fleet workers interpret.  ``hang`` and ``corrupt``
-#: are pool-only: a fleet worker heartbeats through a hung solve (so the
-#: lease never expires — ``lease-stall`` is the fleet-shaped hang), and its
-#: commit path validates records locally rather than shipping them over a
-#: pipe.
-FLEET_FAULT_KINDS = frozenset(
-    {"crash", "error", "worker-kill", "lease-stall", "double-claim"}
-)
+#: Kinds the distributed fleet workers themselves interpret, per claim.
+FLEET_FAULT_KINDS = frozenset({"worker-kill", "lease-stall", "double-claim"})
 
 #: Kinds the live what-if service stages interpret (see :mod:`repro.service`).
 #: Each stage additionally narrows to the kinds that make sense for it —
@@ -182,8 +180,8 @@ def matching_directive(
 
     ``kinds`` restricts the match to the fault kinds the calling execution
     context knows how to perform — a ``worker-kill`` directive must not be
-    swallowed (and silently ignored) by a pool worker, nor a ``hang`` by a
-    fleet worker.
+    swallowed (and silently ignored) by a supervised child, nor a ``hang``
+    by the fleet worker that claimed the unit.
     """
     for directive in directives:
         if kinds is not None and directive.kind not in kinds:

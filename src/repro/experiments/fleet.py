@@ -11,54 +11,69 @@ directory::
         manifest.json            # merged result (the cache layer's document)
         <cell-slug>-<h>.npz      # artifact side-files, written by workers
         .fleet/
-            campaign.json        # unit list + policy, written by the supervisor
-            leases/<unit>.json   # at most one per unit: owner, heartbeat, attempt
+            campaign.json        # units, lease timeout, SupervisionPolicy
+            leases/<unit>.json   # at most one per unit: owner, heartbeat, claim
+            claims/<unit>.<n>.json         # O_EXCL marker of claim n (+ retries)
+            claims/<unit>.<n>.reaped.json  # why claim n's lease was reaped
             done/<unit>.json     # exactly-once commit marker
             results/<unit>.json  # per-unit result shard (manifest row records)
-            failed/<unit>.json   # per-unit permanent-failure record
-            attempts/<unit>.json # failed-attempt count + retry backoff window
+            failed/<unit>.json   # per-unit permanent-failure records
             workers/<owner>.json # worker heartbeats (for ``fleet workers``)
 
 Everything is plain files with atomic writes, so the fleet needs no broker,
 no sockets and no shared memory — N **stateless worker processes** (local,
 or on any host that shares the cache directory) cooperate purely through the
-queue:
+queue.  A worker does only this:
 
-* a worker *claims* a unit by creating ``leases/<unit>.json`` with
-  ``O_CREAT | O_EXCL`` (+ fsync) — the filesystem arbitrates races,
-* a heartbeat thread refreshes the lease while the unit computes; the
-  heartbeat re-reads the lease first and treats a foreign owner as a fence,
-* a unit *commits* by writing its result shard and then creating the
-  ``done/`` marker with ``O_EXCL`` — so even a forced double claim commits
-  **exactly once** and the loser discards its result,
-* anyone (worker or supervisor) *reaps* expired leases: a stale heartbeat
-  becomes a ``timeout`` attempt, a dead same-host pid a ``crash`` attempt;
-  reaped units re-enter the queue with exponential backoff until
-  ``max_attempts``, after which a typed per-cell failure record lands in
-  ``failed/`` — PR 7's retry semantics, re-expressed as files.
+* *claim* a unit by creating ``leases/<unit>.json`` with ``O_CREAT |
+  O_EXCL`` (+ fsync) — the filesystem arbitrates races — and then the claim
+  marker ``claims/<unit>.<n>.json`` with ``O_EXCL``, so claim numbers only
+  ever increase; a claimer that loses the marker race gives the lease back,
+* heartbeat the lease from a thread while the unit runs,
+* run the unit through :func:`~repro.experiments.supervision.run_supervised`
+  — the pool's own envelope, with the campaign's
+  :class:`~repro.experiments.supervision.SupervisionPolicy`: per-attempt
+  timeout, retries, backoff, ``crash``/``hang``/``error``/``corrupt``
+  classification,
+* *commit* the unit's result shard and then create the ``done/`` marker
+  with ``O_EXCL`` — so even a forced double claim commits **exactly once**
+  and the loser discards its result — or write the unit's typed
+  :class:`CellFailure` records into ``failed/``.
+
+Anyone (worker or supervisor) *reaps* a lease whose heartbeat went stale or
+whose same-host owner pid died.  A reap only frees the unit: it renames the
+lease to a private tomb and keeps it only if the tomb still holds the very
+bytes it judged stale (anything else is put back), so it can never delete a
+live lease.  The next claim of a reaped unit takes the next claim number; a
+unit claimed ``1 + retries`` times whose last lease was reaped settles as
+failed with the kind of that reap (``timeout`` or ``crash``).
 
 Work units are the runner's existing content-addressed shapes (single cells,
 or every pending replication of a batched-simulation grid point), and cell
 seeds derive from the spec — never from attempt count, owner or wall clock —
-so a SIGKILLed worker loses nothing but its in-flight attempt, and the fleet
+so a SIGKILLed worker loses nothing but its in-flight unit, and the fleet
 converges on a manifest whose :func:`~repro.experiments.cache.manifest_fingerprint`
 is identical to a serial run's.
 
-The **supervisor** (:func:`run_fleet_campaign`) mirrors the pool runner's
-cache semantics (load → resume → pending → execute → finalize): it builds the
-campaign, spawns the local workers, reaps and respawns, and merges committed
-shards into the manifest through :class:`~repro.experiments.cache.CacheWriter`.
-On SIGINT/SIGTERM it drains gracefully: workers are asked to finish their
-current unit, committed shards are merged into a resumable
-``status: "partial"`` manifest, every lease is released, and
-:class:`CampaignInterrupted` propagates (CLI exit code 1).  Killing the
-supervisor outright is also safe — the queue *is* the state, so a later
-supervisor (or a bare :func:`fetch_campaign`) attaches and continues.
+The **supervisor** (:func:`campaign_events`, driven by
+:class:`~repro.experiments.runner.ExperimentRunner` with ``backend="fleet"``
+or by :func:`run_fleet_campaign`) builds the campaign, spawns the local
+workers, reaps and respawns, and streams settled units into the manifest as
+the runner's ordinary ``rows``/``retry``/``failures`` events.  It enforces
+the failure budget (``SupervisionPolicy.max_failures``).  On SIGINT/SIGTERM
+it drains gracefully: workers are asked to finish their current unit,
+committed shards are merged into a resumable ``status: "partial"`` manifest,
+every lease is released, and :class:`CampaignInterrupted` propagates (CLI
+exit code 1).  Each spawned worker leads its own process group, so killing a
+worker at the end of the drain grace, or after it died, also kills the
+unit's child process.  Killing the supervisor outright is also safe — the
+queue *is* the state, so a later supervisor (or a bare
+:func:`fetch_campaign`) attaches and continues.
 
 Fault injection: fleet workers honour the ``worker-kill``, ``lease-stall``
-and ``double-claim`` kinds of ``REPRO_FAULT_INJECT`` (plus ``crash`` and
-``error``) — see :mod:`repro.experiments.faults` for why ``hang`` and
-``corrupt`` stay pool-only.
+and ``double-claim`` kinds of ``REPRO_FAULT_INJECT`` at the claim number;
+the unit's child honours the pool kinds at the supervised attempt number —
+see :mod:`repro.experiments.faults`.
 """
 
 from __future__ import annotations
@@ -66,40 +81,47 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import multiprocessing
 import os
 import signal
 import socket
+import sys
 import threading
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager, nullcontext
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Iterator
+from typing import Any, Iterator
 
 from repro.experiments.cache import (
-    CacheWriter,
     FLEET_DIRNAME,
     ResultCache,
     _artifact_stem,
     manifest_record,
+    rows_from_records,
     source_fingerprint,
 )
 from repro.experiments.faults import (
     FLEET_FAULT_KINDS,
-    InjectedFault,
     active_directives,
     matching_directive,
 )
 from repro.experiments.results import ArtifactRef, CellFailure, CellResult, write_artifact
 from repro.experiments.results.schema import ExperimentResult
-from repro.experiments.solvers import (
-    execute_cell,
-    execute_simulation_group,
-    simulation_batch_groups,
-    warm_shared_inputs,
+from repro.experiments.runner import (
+    ExperimentRunner,
+    _execute_payload,
+    collect_result,
+    plan_run,
+    supervised_task,
 )
+from repro.experiments.solvers import simulation_batch_groups, warm_shared_inputs
 from repro.experiments.spec import Cell, ScenarioSpec
-from repro.experiments.supervision import FailureBudgetExceeded
+from repro.experiments.supervision import (
+    FailureBudgetExceeded,
+    SupervisionPolicy,
+    fork_context,
+    run_supervised,
+)
 
 __all__ = [
     "CampaignInterrupted",
@@ -107,21 +129,28 @@ __all__ = [
     "FleetQueue",
     "WorkUnit",
     "build_units",
+    "campaign_events",
     "campaign_status",
     "fetch_campaign",
     "fleet_worker",
     "run_fleet_campaign",
+    "submit_campaign",
 ]
 
 logger = logging.getLogger(__name__)
 
 _CAMPAIGN = "campaign.json"
-_CAMPAIGN_FORMAT = 1
-#: Exit code of a worker killed by an injected ``crash`` (mirrors the pool's).
-_CRASH_EXIT_CODE = 73
+_CAMPAIGN_FORMAT = 2
 #: Safety ceiling for a fence-waiting stalled worker (``lease-stall``): if
 #: nobody reaps the lease within this many timeouts, abandon anyway.
 _STALL_TIMEOUTS = 20.0
+#: Idle poll period of workers and supervisor.
+_POLL_INTERVAL = 0.05
+#: Seconds a draining supervisor waits for workers to finish their current
+#: unit before killing them.
+_DRAIN_GRACE = 10.0
+#: How many replacement workers the supervisor may spawn after deaths.
+_MAX_RESPAWNS = 8
 
 
 class CampaignInterrupted(RuntimeError):
@@ -145,74 +174,23 @@ class CampaignInterrupted(RuntimeError):
 
 @dataclass(frozen=True)
 class FleetPolicy:
-    """Knobs of a fleet campaign (CLI: ``--workers``, ``--lease-timeout``,
-    ``--retries``, ``--max-failures``)."""
+    """Knobs of a fleet campaign (CLI: ``--workers``, ``--lease-timeout``).
+
+    Retries, backoff, the per-attempt timeout and the failure budget are the
+    campaign's :class:`SupervisionPolicy`, exactly as on the pool backend.
+    """
 
     #: Local worker processes the supervisor spawns.
     workers: int = 2
     #: Seconds without a lease heartbeat before the unit is reaped as
-    #: ``timeout`` and requeued.
+    #: ``timeout`` and freed; leases heartbeat every quarter of it.
     lease_timeout: float = 30.0
-    #: Lease heartbeat period; ``None`` means ``lease_timeout / 4``.
-    heartbeat_interval: float | None = None
-    #: Total attempts a unit may consume (first try included) before its
-    #: cells become permanent failures — ``1 + retries`` in pool terms.
-    max_attempts: int = 3
-    #: How many cells may fail permanently before the campaign aborts.
-    max_failures: int = 0
-    #: First retry backoff in seconds; attempt ``n`` waits
-    #: ``min(cap, base * 3**(n-1))``.
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-    #: Idle poll period of workers and supervisor.
-    poll_interval: float = 0.05
-    #: Seconds a draining supervisor waits for workers to finish their
-    #: current unit before killing them.
-    drain_grace: float = 10.0
-    #: How many replacement workers the supervisor may spawn after deaths.
-    max_respawns: int = 8
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.lease_timeout <= 0:
             raise ValueError("lease_timeout must be positive")
-        if self.heartbeat_interval is not None and self.heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be positive when given")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.max_failures < 0:
-            raise ValueError("max_failures must be >= 0")
-        if self.backoff_base <= 0 or self.backoff_cap < self.backoff_base:
-            raise ValueError("backoff must satisfy 0 < base <= cap")
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
-        if self.drain_grace < 0:
-            raise ValueError("drain_grace must be >= 0")
-        if self.max_respawns < 0:
-            raise ValueError("max_respawns must be >= 0")
-
-    @property
-    def effective_heartbeat(self) -> float:
-        return self.heartbeat_interval or self.lease_timeout / 4.0
-
-    def to_dict(self) -> dict:
-        return {
-            "workers": self.workers,
-            "lease_timeout": self.lease_timeout,
-            "heartbeat_interval": self.heartbeat_interval,
-            "max_attempts": self.max_attempts,
-            "max_failures": self.max_failures,
-            "backoff_base": self.backoff_base,
-            "backoff_cap": self.backoff_cap,
-            "poll_interval": self.poll_interval,
-            "drain_grace": self.drain_grace,
-            "max_respawns": self.max_respawns,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FleetPolicy":
-        return cls(**payload)
 
 
 @dataclass(frozen=True)
@@ -312,14 +290,41 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
+def _remove_if_unchanged(path: Path, judged: bytes) -> bool:
+    """Remove ``path`` only if it still holds exactly the bytes ``judged``.
+
+    The file is renamed to a tomb only this caller knows, then compared.  A
+    lease that was refreshed, or replaced by a fresh claim, after it was
+    judged stale is linked back into place (unless an even newer lease took
+    the name meanwhile), so a reaper can only ever remove the lease it
+    judged.
+    """
+    tomb = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tomb")
+    try:
+        os.rename(path, tomb)
+    except FileNotFoundError:
+        return False  # another reaper (or the owner) removed it first
+    try:
+        if tomb.read_bytes() == judged:
+            return True
+        try:
+            os.link(tomb, path)
+        except FileExistsError:
+            pass
+        return False
+    finally:
+        tomb.unlink(missing_ok=True)
+
+
 @dataclass
 class _Claim:
     """A successful :meth:`FleetQueue.claim_next`."""
 
     unit: WorkUnit
+    #: The claim number (1-based); fleet fault kinds match against it.
     attempt: int
     #: A ``double-claim`` fault took the unit *despite* a foreign lease; the
-    #: claimer holds no lease and must expect to lose the commit race.
+    #: claimer holds no lease or marker and must expect to lose the commit.
     rogue: bool = False
 
 
@@ -327,23 +332,24 @@ class FleetQueue:
     """The on-disk work queue of one campaign (see the module docstring).
 
     Every method is safe to call from any process sharing the run directory;
-    mutual exclusion comes from ``O_EXCL`` creates and atomic ``os.replace``,
-    never from in-memory locks.  The read path (:meth:`status`,
-    :meth:`committed_records`, …) takes no locks at all.
+    mutual exclusion comes from ``O_EXCL`` creates and atomic renames, never
+    from in-memory locks.  The read path (:meth:`status`,
+    :meth:`settled_events`, …) takes no locks at all.
     """
 
     def __init__(self, entry_dir: str | os.PathLike) -> None:
         self.entry_dir = Path(entry_dir)
         self.root = self.entry_dir / FLEET_DIRNAME
         self.leases = self.root / "leases"
+        self.claims = self.root / "claims"
         self.done = self.root / "done"
         self.results = self.root / "results"
         self.failed = self.root / "failed"
-        self.attempts = self.root / "attempts"
         self.workers = self.root / "workers"
         self.host = socket.gethostname()
         self._units: list[WorkUnit] | None = None
-        self._policy: FleetPolicy | None = None
+        self._lease_timeout = 0.0
+        self._supervision: SupervisionPolicy | None = None
 
     # ------------------------------------------------------------------
     # Campaign document
@@ -359,75 +365,85 @@ class FleetQueue:
         self,
         spec: ScenarioSpec,
         units: list[WorkUnit],
-        policy: FleetPolicy,
+        lease_timeout: float,
+        supervision: SupervisionPolicy,
         reset: bool = False,
     ) -> None:
         """Write (or attach to) the campaign document for ``units``.
 
         Attaching to an existing campaign of the same spec and source state
         keeps committed shards that still verify (they are merged, not
-        recomputed) but gives every pending unit a fresh retry budget:
-        ``failed/`` and ``attempts/`` records of the listed units are
-        cleared, as are done markers whose result shard no longer loads or
-        covers the wrong keys.  ``reset=True`` (``--force``) additionally
-        discards every committed shard so the whole grid recomputes.
+        recomputed) but gives every pending unit a fresh retry budget: the
+        ``failed/`` and ``claims/`` records of the listed units are cleared,
+        as are done markers whose result shard no longer loads or covers the
+        wrong keys.  ``reset=True`` (``--force``) additionally discards every
+        committed shard so the whole grid recomputes.
         """
-        for directory in (self.root, self.leases, self.done, self.results,
-                          self.failed, self.attempts, self.workers):
+        for directory in (self.root, self.leases, self.claims, self.done,
+                          self.results, self.failed, self.workers):
             directory.mkdir(parents=True, exist_ok=True)
         for unit in units:
             done = self.done / f"{unit.id}.json"
-            if reset:
-                done.unlink(missing_ok=True)
-                (self.results / f"{unit.id}.json").unlink(missing_ok=True)
-            elif done.exists() and self._load_shard(unit) is None:
-                logger.warning(
-                    "fleet: discarding unreadable result shard of unit %s; "
-                    "the unit will recompute", unit.id,
-                )
+            if reset or (done.exists() and self._load_shard(unit) is None):
+                if not reset:
+                    logger.warning(
+                        "fleet: discarding unreadable result shard of unit %s; "
+                        "the unit will recompute", unit.id,
+                    )
                 done.unlink(missing_ok=True)
                 (self.results / f"{unit.id}.json").unlink(missing_ok=True)
             (self.failed / f"{unit.id}.json").unlink(missing_ok=True)
-            (self.attempts / f"{unit.id}.json").unlink(missing_ok=True)
+            for path in self.claims.glob(f"{unit.id}.*"):
+                path.unlink(missing_ok=True)
         _write_json_atomic(self.campaign_path, {
             "format": _CAMPAIGN_FORMAT,
             "name": spec.name,
             "spec_hash": spec.hash(),
             "code_fingerprint": source_fingerprint(),
             "created": time.time(),
-            "policy": policy.to_dict(),
+            "lease_timeout": lease_timeout,
+            "supervision": asdict(supervision),
             "units": [unit.to_dict() for unit in units],
         })
         self._units = list(units)
-        self._policy = policy
+        self._lease_timeout = lease_timeout
+        self._supervision = supervision
 
     def load_campaign(self) -> bool:
-        """Load units and policy from ``campaign.json``; False if absent/bad."""
+        """Load units and policies from ``campaign.json``; False if absent/bad."""
         payload = _read_json(self.campaign_path)
         if not isinstance(payload, dict):
             return False
         try:
+            if payload["format"] != _CAMPAIGN_FORMAT:
+                raise ValueError(f"campaign format {payload['format']!r}")
             self._units = [WorkUnit.from_dict(d) for d in payload["units"]]
-            self._policy = FleetPolicy.from_dict(payload["policy"])
+            self._lease_timeout = float(payload["lease_timeout"])
+            self._supervision = SupervisionPolicy(**payload["supervision"])
         except (KeyError, TypeError, ValueError) as error:
             logger.warning("fleet: unreadable campaign document %s: %s",
                            self.campaign_path, error)
             return False
         return True
 
+    def _require_campaign(self) -> None:
+        if self._units is None and not self.load_campaign():
+            raise FileNotFoundError(f"no fleet campaign at {self.campaign_path}")
+
     @property
     def units(self) -> list[WorkUnit]:
-        if self._units is None:
-            if not self.load_campaign():
-                raise FileNotFoundError(f"no fleet campaign at {self.campaign_path}")
+        self._require_campaign()
         return list(self._units)
 
     @property
-    def policy(self) -> FleetPolicy:
-        if self._policy is None:
-            if not self.load_campaign():
-                raise FileNotFoundError(f"no fleet campaign at {self.campaign_path}")
-        return self._policy
+    def lease_timeout(self) -> float:
+        self._require_campaign()
+        return self._lease_timeout
+
+    @property
+    def supervision(self) -> SupervisionPolicy:
+        self._require_campaign()
+        return self._supervision
 
     # ------------------------------------------------------------------
     # Claiming
@@ -435,27 +451,28 @@ class FleetQueue:
     def _lease_path(self, unit_id: str) -> Path:
         return self.leases / f"{unit_id}.json"
 
+    def _claim_path(self, unit_id: str, number: int, suffix: str = "") -> Path:
+        return self.claims / f"{unit_id}.{number}{suffix}.json"
+
     def _settled(self, unit_id: str) -> bool:
         return (self.done / f"{unit_id}.json").exists() or (
             self.failed / f"{unit_id}.json").exists()
 
-    def _attempt_state(self, unit_id: str) -> dict:
-        payload = _read_json(self.attempts / f"{unit_id}.json")
-        if not isinstance(payload, dict):
-            return {"attempts": 0, "not_before": 0.0}
-        return {
-            "attempts": int(payload.get("attempts", 0)),
-            "not_before": float(payload.get("not_before", 0.0)),
-        }
+    def claim_count(self, unit_id: str) -> int:
+        """How many times the unit was claimed (its claim markers are 1..n)."""
+        count = 0
+        while self._claim_path(unit_id, count + 1).exists():
+            count += 1
+        return count
 
     def claim_next(self, owner: str) -> tuple[_Claim | None, bool]:
         """Try to claim one unit; returns ``(claim, campaign_busy)``.
 
         ``campaign_busy`` is True while any unit is unsettled — a worker
-        that got no claim should poll again (units may be leased elsewhere
-        or backing off) rather than exit.  Expired leases encountered during
-        the scan are reaped opportunistically, so claiming makes progress
-        even without a supervisor.
+        that got no claim should poll again (units may be leased elsewhere)
+        rather than exit.  Expired leases encountered during the scan are
+        reaped opportunistically, and units out of claims are settled as
+        failed, so claiming makes progress even without a supervisor.
         """
         directives = active_directives()
         busy = False
@@ -471,48 +488,45 @@ class FleetQueue:
                 continue
             busy = True
             self._reap_lease_if_expired(unit.id, now)
-            state = self._attempt_state(unit.id)
-            if state["not_before"] > now:
-                continue
-            attempt = state["attempts"] + 1
+            count = self.claim_count(unit.id)
             lease = self._lease_path(unit.id)
             if lease.exists():
-                directive = None
-                for key in unit.keys:
-                    directive = matching_directive(
-                        directives, key, attempt, kinds=FLEET_FAULT_KINDS
-                    )
-                    if directive is not None:
-                        break
-                if directive is not None and directive.kind == "double-claim":
+                if _fleet_directive(directives, unit, count + 1) == "double-claim":
                     logger.warning(
                         "fleet: %s double-claiming unit %s despite a foreign "
                         "lease (injected fault)", owner, unit.id,
                     )
-                    return _Claim(unit=unit, attempt=attempt, rogue=True), True
+                    return _Claim(unit=unit, attempt=count + 1, rogue=True), True
                 continue
-            if _create_exclusive(lease, self._lease_payload(owner, attempt)):
-                if self._settled(unit.id):
-                    # Lost a race with a commit that happened between our
-                    # settled check and the lease create.
-                    lease.unlink(missing_ok=True)
-                    continue
-                return _Claim(unit=unit, attempt=attempt), True
+            if count >= 1 + self.supervision.retries:
+                self._settle_exhausted(unit, count)
+                continue
+            number = count + 1
+            if not _create_exclusive(lease, self._lease_payload(owner, number)):
+                continue
+            if self._settled(unit.id) or not _create_exclusive(
+                self._claim_path(unit.id, number), {"owner": owner, "retries": 0}
+            ):
+                # Lost a race: a commit landed after our settled check, or a
+                # claimer that counted before the last reap took this number.
+                lease.unlink(missing_ok=True)
+                continue
+            return _Claim(unit=unit, attempt=number), True
         return None, busy
 
-    def _lease_payload(self, owner: str, attempt: int) -> dict:
+    def _lease_payload(self, owner: str, number: int) -> dict:
         now = time.time()
         return {
             "owner": owner,
             "pid": os.getpid(),
             "host": self.host,
-            "attempt": attempt,
+            "claim": number,
             "acquired": now,
             "heartbeat": now,
-            "lease_timeout": self.policy.lease_timeout,
+            "lease_timeout": self.lease_timeout,
         }
 
-    def heartbeat_lease(self, unit_id: str, owner: str, attempt: int) -> bool:
+    def heartbeat_lease(self, unit_id: str, owner: str) -> bool:
         """Refresh a held lease; False when fenced (lost / foreign owner).
 
         Best-effort fencing: the lease is re-read first and a foreign owner
@@ -525,12 +539,17 @@ class FleetQueue:
         if not isinstance(payload, dict) or payload.get("owner") != owner:
             return False
         payload["heartbeat"] = time.time()
-        payload["attempt"] = attempt
         try:
             _write_json_atomic(path, payload)
         except OSError:
             return False
         return True
+
+    def record_retries(self, unit_id: str, number: int, owner: str, retries: int) -> None:
+        """Store how many supervised retries claim ``number`` has used so far."""
+        _write_json_atomic(
+            self._claim_path(unit_id, number), {"owner": owner, "retries": retries}
+        )
 
     def release_lease(self, unit_id: str, owner: str) -> None:
         """Drop a lease if (best-effort) still ours."""
@@ -539,61 +558,50 @@ class FleetQueue:
         if isinstance(payload, dict) and payload.get("owner") == owner:
             path.unlink(missing_ok=True)
 
-    def release_all_leases(self) -> int:
+    def release_all_leases(self) -> None:
         """Remove every lease (the draining supervisor's last act)."""
-        released = 0
-        if not self.leases.is_dir():
-            return 0
         for path in self.leases.glob("*.json"):
-            try:
-                path.unlink()
-                released += 1
-            except FileNotFoundError:
-                pass
-        return released
+            path.unlink(missing_ok=True)
 
     # ------------------------------------------------------------------
     # Reaping
     # ------------------------------------------------------------------
     def reap_expired(self) -> int:
-        """Requeue every unit whose lease expired or whose owner died."""
-        if not self.leases.is_dir():
-            return 0
-        reaped = 0
+        """Free every unit whose lease expired or whose owner died."""
         now = time.time()
-        for path in self.leases.glob("*.json"):
-            if path.name.endswith(".tmp"):
-                continue
-            reaped += self._reap_lease_if_expired(path.stem, now)
-        return reaped
+        return sum(
+            self._reap_lease_if_expired(path.stem, now)
+            for path in self.leases.glob("*.json")
+        )
 
     def _reap_lease_if_expired(self, unit_id: str, now: float) -> int:
         path = self._lease_path(unit_id)
-        payload = _read_json(path)
-        if payload is None:
-            if not path.exists():
+        try:
+            raw = path.read_bytes()
+            mtime = path.stat().st_mtime
+        except OSError:
+            return 0
+        try:
+            payload = json.loads(raw)
+            heartbeat = float(payload["heartbeat"])
+        except (ValueError, KeyError, TypeError):
+            # Unreadable (e.g. a claimer died between create and write):
+            # judge it by its mtime.
+            if now - mtime <= self.lease_timeout:
                 return 0
-            # Unreadable lease: fall back to its mtime.
-            try:
-                stale = now - path.stat().st_mtime > self.policy.lease_timeout
-            except OSError:
-                return 0
-            kind, message = "crash", "unreadable lease file"
-            if not stale:
-                return 0
+            payload, kind, message = {}, "crash", "unreadable lease file"
         else:
-            heartbeat = float(payload.get("heartbeat", 0.0))
-            timeout = float(payload.get("lease_timeout", self.policy.lease_timeout))
+            timeout = float(payload.get("lease_timeout", self.lease_timeout))
             if (self.done / f"{unit_id}.json").exists():
                 # Committed but the lease lingered (e.g. killed between
-                # commit and release): just clean up, no attempt charged.
-                self._unlink_once(path)
+                # commit and release): just clean up.
+                _remove_if_unchanged(path, raw)
                 return 0
             if now - heartbeat > timeout:
                 kind = "timeout"
                 message = (
                     f"lease heartbeat from {payload.get('owner')} went stale "
-                    f"({now - heartbeat:.1f}s > {timeout:g}s); unit requeued"
+                    f"({now - heartbeat:.1f}s > {timeout:g}s); unit freed"
                 )
             elif (
                 payload.get("host") == self.host
@@ -603,75 +611,45 @@ class FleetQueue:
                 kind = "crash"
                 message = (
                     f"worker {payload.get('owner')} (pid {payload['pid']}) "
-                    "died holding the lease; unit requeued"
+                    "died holding the lease; unit freed"
                 )
             else:
                 return 0
-        # Whoever wins the unlink charges the failed attempt — losers of the
-        # race must not double-charge.
-        if not self._unlink_once(path):
+        if not _remove_if_unchanged(path, raw):
             return 0
-        self.record_attempt_failure(unit_id, kind, message)
+        number = payload.get("claim") or self.claim_count(unit_id)
+        _write_json_atomic(
+            self._claim_path(unit_id, number, ".reaped"),
+            {"kind": kind, "message": message},
+        )
+        logger.info("fleet: reaped claim %d of unit %s: %s", number, unit_id, message)
         return 1
 
-    @staticmethod
-    def _unlink_once(path: Path) -> bool:
-        try:
-            path.unlink()
-        except FileNotFoundError:
-            return False
-        return True
-
-    def record_attempt_failure(self, unit_id: str, kind: str, message: str) -> None:
-        """Charge one failed attempt; at ``max_attempts`` settle as failed.
-
-        Requeued units back off exponentially (``base * 3**(n-1)``, capped)
-        — deterministic, since the retry *schedule* never influences the
-        computed values.  A unit out of attempts writes one typed
-        :class:`CellFailure` record per covered cell into ``failed/``.
-        """
-        policy = self.policy
-        state = self._attempt_state(unit_id)
-        attempts = state["attempts"] + 1
-        if attempts >= policy.max_attempts:
-            unit = next((u for u in self.units if u.id == unit_id), None)
-            cells = unit.cells if unit is not None else ()
-            _write_json_atomic(self.failed / f"{unit_id}.json", {
-                "kind": kind,
-                "message": message,
-                "attempts": attempts,
-                "cells": [
-                    CellFailure(
-                        key=cell.key,
-                        solver=cell.solver_label,
-                        kind=kind,
-                        attempts=attempts,
-                        seed=cell.seed,
-                        replication=cell.replication,
-                        message=message,
-                        elapsed_seconds=0.0,
-                    ).to_dict()
-                    for cell in cells
-                ],
-            })
-            _write_json_atomic(self.attempts / f"{unit_id}.json", {
-                "attempts": attempts, "not_before": 0.0,
-                "last_kind": kind, "last_message": message,
-            })
-            logger.warning("fleet: unit %s failed permanently after %d attempt(s): %s",
-                           unit_id, attempts, message)
+    def _settle_exhausted(self, unit: WorkUnit, claims: int) -> None:
+        """Fail a unit whose every allowed claim ended in a reap."""
+        reap = _read_json(self._claim_path(unit.id, claims, ".reaped"))
+        if not isinstance(reap, dict):
+            reap = {"kind": "crash", "message": "lease lost without a reap record"}
+        if self._settled(unit.id):
             return
-        backoff = min(policy.backoff_cap,
-                      policy.backoff_base * (3.0 ** (attempts - 1)))
-        _write_json_atomic(self.attempts / f"{unit_id}.json", {
-            "attempts": attempts, "not_before": time.time() + backoff,
-            "last_kind": kind, "last_message": message,
-        })
-        logger.info("fleet: unit %s attempt %d failed (%s); retrying in %.2fs",
-                    unit_id, attempts, kind, backoff)
+        self.record_failures(unit, [
+            CellFailure(
+                key=cell.key,
+                solver=cell.solver_label,
+                kind=reap["kind"],
+                attempts=claims,
+                seed=cell.seed,
+                replication=cell.replication,
+                message=reap["message"],
+                elapsed_seconds=0.0,
+            )
+            for cell in unit.cells
+        ])
+        logger.warning("fleet: unit %s failed permanently after %d claim(s): %s",
+                       unit.id, claims, reap["message"])
 
     # ------------------------------------------------------------------
-    # Committing
+    # Settling
     # ------------------------------------------------------------------
     def commit(self, unit: WorkUnit, owner: str, records: list[dict]) -> bool:
         """Persist a unit's result shard and claim the exactly-once marker.
@@ -687,7 +665,6 @@ class FleetQueue:
         _write_json_atomic(self.results / f"{unit.id}.json", records)
         committed = _create_exclusive(self.done / f"{unit.id}.json", {
             "owner": owner,
-            "attempt": self._attempt_state(unit.id)["attempts"] + 1,
             "committed": time.time(),
         })
         if not committed:
@@ -697,7 +674,14 @@ class FleetQueue:
             )
         return committed
 
+    def record_failures(self, unit: WorkUnit, failures: list[CellFailure]) -> None:
+        """Settle a unit as permanently failed with one record per cell."""
+        _write_json_atomic(
+            self.failed / f"{unit.id}.json", [f.to_dict() for f in failures]
+        )
+
     def _load_shard(self, unit: WorkUnit) -> list[dict] | None:
+        """The unit's committed records, or ``None`` unless they cover it."""
         payload = _read_json(self.results / f"{unit.id}.json")
         if not isinstance(payload, list):
             return None
@@ -705,31 +689,51 @@ class FleetQueue:
             keys = {record["key"] for record in payload}
         except (TypeError, KeyError):
             return None
-        if keys != set(unit.keys):
-            return None
-        return payload
+        return payload if keys == set(unit.keys) else None
 
-    def committed_records(self) -> Iterator[tuple[WorkUnit, list[dict]]]:
-        """Every committed unit's verified result shard."""
-        for unit in self.units:
-            if not (self.done / f"{unit.id}.json").exists():
-                continue
-            records = self._load_shard(unit)
-            if records is None:
-                logger.warning(
-                    "fleet: committed unit %s has an unreadable result shard; "
-                    "skipping it in the merge (it will recompute next run)",
-                    unit.id,
-                )
-                continue
-            yield unit, records
+    def retries(self, unit: WorkUnit) -> int:
+        """Retries the unit used: one per re-claim and per supervised retry."""
+        count = self.claim_count(unit.id)
+        recorded = 0
+        for number in range(1, count + 1):
+            marker = _read_json(self._claim_path(unit.id, number))
+            if isinstance(marker, dict):
+                recorded += int(marker.get("retries", 0))
+        return max(0, count - 1) + recorded
 
-    def failure_records(self) -> Iterator[tuple[WorkUnit, list[dict]]]:
-        """Every permanently failed unit's per-cell failure records."""
+    def settled_events(self, seen: set[str]) -> Iterator[tuple[str, Any]]:
+        """Runner events of every unit settled and not yet in ``seen``.
+
+        A committed unit yields ``("rows", …)`` from its verified shard, a
+        failed one ``("failures", …)``; either is preceded by one
+        ``("retry", keys)`` event covering its retries.  Yielded units are
+        added to ``seen``.
+        """
         for unit in self.units:
-            payload = _read_json(self.failed / f"{unit.id}.json")
-            if isinstance(payload, dict) and isinstance(payload.get("cells"), list):
-                yield unit, payload["cells"]
+            if unit.id in seen:
+                continue
+            if (self.done / f"{unit.id}.json").exists():
+                try:
+                    rows = rows_from_records(self._load_shard(unit), self.entry_dir)
+                except (KeyError, TypeError, ValueError):
+                    logger.warning(
+                        "fleet: committed unit %s has an unreadable result "
+                        "shard; skipping it in the merge (it will recompute "
+                        "next run)", unit.id,
+                    )
+                    seen.add(unit.id)
+                    continue
+                event = ("rows", list(rows.items()))
+            else:
+                payload = _read_json(self.failed / f"{unit.id}.json")
+                if not isinstance(payload, list):
+                    continue
+                event = ("failures", [CellFailure.from_dict(d) for d in payload])
+            seen.add(unit.id)
+            retries = self.retries(unit)
+            if retries:
+                yield "retry", unit.keys * retries
+            yield event
 
     # ------------------------------------------------------------------
     # Worker presence + status
@@ -744,13 +748,10 @@ class FleetQueue:
                 "state": state,
                 "unit": unit_id,
                 "heartbeat": time.time(),
-                "lease_timeout": self.policy.lease_timeout,
+                "lease_timeout": self.lease_timeout,
             })
         except OSError:
             pass
-
-    def remove_worker(self, owner: str) -> None:
-        (self.workers / f"{owner}.json").unlink(missing_ok=True)
 
     def worker_states(self) -> list[dict]:
         if not self.workers.is_dir():
@@ -787,26 +788,17 @@ class FleetQueue:
     def settled(self) -> bool:
         return all(self._settled(unit.id) for unit in self.units)
 
-    def retried_cells(self) -> int:
-        """Cells that needed at least one retry (pool-meta compatible count)."""
-        retried = 0
-        for unit in self.units:
-            attempts = self._attempt_state(unit.id)["attempts"]
-            if (self.done / f"{unit.id}.json").exists():
-                retried += attempts * len(unit.keys)
-            elif (self.failed / f"{unit.id}.json").exists():
-                retried += max(0, attempts - 1) * len(unit.keys)
-        return retried
-
 
 # ----------------------------------------------------------------------
 # Worker
 # ----------------------------------------------------------------------
-def _execute_unit(spec: ScenarioSpec, unit: WorkUnit) -> list[tuple[str, CellResult]]:
-    if unit.kind == "group":
-        return execute_simulation_group(spec, list(unit.cells))
-    cell = unit.cells[0]
-    return [(cell.key, execute_cell(spec, cell))]
+def _fleet_directive(directives, unit: WorkUnit, number: int) -> str | None:
+    """Kind of the first fleet fault directive firing for the unit's claim."""
+    for key in unit.keys:
+        directive = matching_directive(directives, key, number, kinds=FLEET_FAULT_KINDS)
+        if directive is not None:
+            return directive.kind
+    return None
 
 
 def _persist_records(
@@ -822,31 +814,27 @@ def _persist_records(
     return records
 
 
-class _Heartbeat:
-    """Background lease refresher; ``fenced`` is set when ownership is lost."""
+@contextmanager
+def _heartbeat(queue: FleetQueue, unit_id: str, owner: str) -> Iterator[None]:
+    """Refresh the lease from a thread; stops for good once it is lost.
 
-    def __init__(self, queue: FleetQueue, unit_id: str, owner: str,
-                 attempt: int, interval: float) -> None:
-        self.fenced = threading.Event()
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, args=(queue, unit_id, owner, attempt, interval),
-            daemon=True,
-        )
+    The unit's supervised child is forked while this thread runs; the
+    thread only rewrites the lease file and holds no lock the child needs.
+    """
+    stop = threading.Event()
 
-    def start(self) -> "_Heartbeat":
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-
-    def _run(self, queue, unit_id, owner, attempt, interval) -> None:
-        while not self._stop.wait(interval):
-            if not queue.heartbeat_lease(unit_id, owner, attempt):
-                self.fenced.set()
+    def beat() -> None:
+        while not stop.wait(queue.lease_timeout / 4.0):
+            if not queue.heartbeat_lease(unit_id, owner):
                 return
+
+    thread = threading.Thread(target=beat, daemon=True)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=5.0)
 
 
 def fleet_worker(
@@ -855,18 +843,23 @@ def fleet_worker(
     owner: str | None = None,
     drain: threading.Event | None = None,
 ) -> int:
-    """Claim-execute-commit loop of one stateless worker; returns units committed.
+    """Claim-run-commit loop of one stateless worker; returns units committed.
 
     Runs until the campaign settles (every unit done or failed) or ``drain``
     is set (the graceful-shutdown path: the current unit is finished and
-    committed, the lease released, then the loop exits).  Safe to run many
-    times concurrently — all coordination goes through :class:`FleetQueue`.
+    committed, the lease released, then the loop exits).  Each unit runs
+    through :func:`run_supervised` under the campaign's
+    :class:`SupervisionPolicy`, with an unbounded failure budget so that a
+    unit out of retries yields its failure records instead of raising — the
+    campaign-wide budget is the supervisor's.  Safe to run many times
+    concurrently — all coordination goes through :class:`FleetQueue`.
     """
     queue = FleetQueue(entry_dir)
-    policy = queue.policy
+    policy = replace(queue.supervision, max_failures=sys.maxsize)
     owner = owner or f"{queue.host}-{os.getpid()}"
     drain = drain or threading.Event()
     directives = active_directives()
+    spec_dict = spec.to_dict()
     committed = 0
     queue.update_worker(owner, "idle")
     try:
@@ -876,56 +869,36 @@ def fleet_worker(
                 if not busy:
                     break
                 queue.update_worker(owner, "idle")
-                drain.wait(policy.poll_interval)
+                drain.wait(_POLL_INTERVAL)
                 continue
-            unit, attempt = claim.unit, claim.attempt
+            unit = claim.unit
             queue.update_worker(owner, "executing", unit.id)
-            directive = None
-            for key in unit.keys:
-                directive = matching_directive(
-                    directives, key, attempt, kinds=FLEET_FAULT_KINDS
-                )
-                if directive is not None:
-                    break
-            if directive is not None and directive.kind == "worker-kill":
+            fault = _fleet_directive(directives, unit, claim.attempt)
+            if fault == "worker-kill":
                 # Simulated OOM-kill / power loss: die without cleanup; the
-                # lease goes stale and a reaper requeues the unit.
+                # lease's owner pid is dead, so a reaper frees the unit.
                 os.kill(os.getpid(), signal.SIGKILL)
-            if directive is not None and directive.kind == "crash":
-                os._exit(_CRASH_EXIT_CODE)
-            if directive is not None and directive.kind == "lease-stall":
-                _stall_until_fenced(queue, unit.id, owner, policy, drain)
+            if fault == "lease-stall":
+                _stall_until_fenced(queue, unit.id, owner, drain)
                 continue
-            heartbeat = None
-            if not claim.rogue:
-                heartbeat = _Heartbeat(
-                    queue, unit.id, owner, attempt, policy.effective_heartbeat
-                ).start()
-            try:
-                if directive is not None and directive.kind == "error":
-                    raise InjectedFault(
-                        f"injected error for {unit.keys[0]!r} (attempt {attempt})"
-                    )
-                rows = _execute_unit(spec, unit)
+            task = supervised_task(spec_dict, unit.kind, unit.cells, True)
+            rows, failures, retries = None, [], 0
+            with nullcontext() if claim.rogue else _heartbeat(queue, unit.id, owner):
+                for event, body in run_supervised([task], _execute_payload, policy, jobs=1):
+                    if event == "rows":
+                        rows = body
+                    elif event == "retry":
+                        retries += 1
+                        if not claim.rogue:
+                            queue.record_retries(unit.id, claim.attempt, owner, retries)
+                    else:
+                        failures = body
+            if rows is not None:
                 records = _persist_records(queue.entry_dir, rows)
-            except InjectedFault as error:
-                if heartbeat is not None:
-                    heartbeat.stop()
-                queue.record_attempt_failure(unit.id, "error", str(error))
-                queue.release_lease(unit.id, owner)
-                continue
-            except Exception as error:  # noqa: BLE001 — charge, don't die
-                if heartbeat is not None:
-                    heartbeat.stop()
-                queue.record_attempt_failure(
-                    unit.id, "error", f"{type(error).__name__}: {error}"
-                )
-                queue.release_lease(unit.id, owner)
-                continue
-            if heartbeat is not None:
-                heartbeat.stop()
-            if queue.commit(unit, owner, records):
-                committed += 1
+                if queue.commit(unit, owner, records):
+                    committed += 1
+            else:
+                queue.record_failures(unit, failures)
             if not claim.rogue:
                 queue.release_lease(unit.id, owner)
     finally:
@@ -934,23 +907,22 @@ def fleet_worker(
 
 
 def _stall_until_fenced(queue: FleetQueue, unit_id: str, owner: str,
-                        policy: FleetPolicy, drain: threading.Event) -> None:
+                        drain: threading.Event) -> None:
     """``lease-stall``: hold the lease without heartbeating until reaped.
 
     Simulates a hung host.  Once the lease is no longer ours (a reaper
-    expired it and another worker may already own the unit), abandon without
-    committing and without charging an attempt — the reaper charged it.  A
-    drain request un-hangs the simulation (releasing the lease) so graceful
-    shutdown stays fast even mid-fault.
+    expired it and another worker may already own the unit), abandon
+    without committing.  A drain request un-hangs the simulation (releasing
+    the lease) so graceful shutdown stays fast even mid-fault.
     """
     queue.update_worker(owner, "stalled", unit_id)
     logger.warning("fleet: %s stalling on unit %s (injected fault)", owner, unit_id)
-    deadline = time.time() + _STALL_TIMEOUTS * policy.lease_timeout
+    deadline = time.time() + _STALL_TIMEOUTS * queue.lease_timeout
     while time.time() < deadline and not drain.is_set():
         payload = _read_json(queue._lease_path(unit_id))
         if not isinstance(payload, dict) or payload.get("owner") != owner:
             return  # fenced — the unit belongs to someone else now
-        time.sleep(policy.poll_interval)
+        time.sleep(_POLL_INTERVAL)
     # Nobody reaped us (no supervisor, no peers) or we are draining:
     # release and move on.
     queue.release_lease(unit_id, owner)
@@ -958,114 +930,73 @@ def _stall_until_fenced(queue: FleetQueue, unit_id: str, owner: str,
 
 def _worker_entry(entry_dir: str, spec_dict: dict, owner: str) -> None:
     """Process target for supervisor-spawned workers (SIGTERM drains)."""
+    # Lead a process group, so killing the group takes the unit's child too.
+    os.setpgid(0, 0)
     drain = threading.Event()
-
-    def _on_sigterm(signum, frame):  # noqa: ARG001
-        drain.set()
-
-    try:
-        signal.signal(signal.SIGTERM, _on_sigterm)
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the supervisor drains
-    except ValueError:
-        pass  # not the main thread of the process (embedded use)
-    spec = ScenarioSpec.from_dict(spec_dict)
-    fleet_worker(entry_dir, spec, owner=owner, drain=drain)
+    signal.signal(signal.SIGTERM, lambda signum, frame: drain.set())
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the supervisor drains
+    fleet_worker(entry_dir, ScenarioSpec.from_dict(spec_dict), owner=owner, drain=drain)
 
 
 # ----------------------------------------------------------------------
 # Supervisor
 # ----------------------------------------------------------------------
-def _fork_context():
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
+def _kill_worker(process) -> None:
+    """SIGKILL a worker together with its process group (the unit's child).
+
+    A worker that exited cleanly has already reaped its unit's child, and its
+    pid may be reused, so only a live or abnormally ended worker's group is
+    signalled.
+    """
+    if process.exitcode != 0:
+        try:
+            os.killpg(process.pid, signal.SIGKILL)
+        except (ProcessLookupError, PermissionError):
+            pass
+    if process.is_alive():
+        process.kill()
+    process.join(timeout=1.0)
 
 
-def _merge_into_writer(
-    writer: CacheWriter, queue: FleetQueue
-) -> tuple[list[dict], list[dict]]:
-    """Absorb every committed shard and failure record; returns both lists."""
-    computed: list[dict] = []
-    failed: list[dict] = []
-    for _unit, records in queue.committed_records():
-        for record in records:
-            writer.absorb_record(record)
-            computed.append(record)
-    for _unit, records in queue.failure_records():
-        for record in records:
-            writer.absorb_failure_record(record)
-            failed.append(record)
-    return computed, failed
-
-
-def _rows_from_records(entry_dir: Path, records: list[dict]) -> dict[str, CellResult]:
-    rows: dict[str, CellResult] = {}
-    for record in records:
-        row = CellResult.from_dict(record)
-        if record.get("artifact") is not None:
-            row = row.with_artifact(ArtifactRef.from_dict(record["artifact"], entry_dir))
-        rows[record["key"]] = row
-    return rows
-
-
-def run_fleet_campaign(
+def campaign_events(
     cache: ResultCache,
     spec: ScenarioSpec,
-    policy: FleetPolicy | None = None,
+    pending: list[Cell],
+    policy: FleetPolicy,
+    supervision: SupervisionPolicy,
     force: bool = False,
-) -> ExperimentResult:
-    """Run ``spec`` to completion on a fleet of leased local workers.
+) -> Iterator[tuple[str, Any]]:
+    """Run ``pending`` on a fleet of leased local workers; yield runner events.
 
-    Mirrors the pool runner's contract: serves/“resumes from” the cache
-    exactly like :meth:`ExperimentRunner.run`, raises
-    :class:`FailureBudgetExceeded` when permanent failures exceed the
-    budget (partial manifest persisted), and raises
-    :class:`CampaignInterrupted` after a graceful SIGINT/SIGTERM drain.
+    Raises :class:`FailureBudgetExceeded` once more cells failed than
+    ``supervision.max_failures`` allows, :class:`CampaignInterrupted` after
+    a graceful SIGINT/SIGTERM drain, and :class:`RuntimeError` when every
+    worker died and the respawn budget is spent — each after yielding
+    everything committed so far and releasing every lease.
     """
-    policy = policy or FleetPolicy()
-    if not force:
-        cached = cache.load(spec)
-        if cached is not None:
-            return cached
-
-    cells = spec.cells()
-    keys = {cell.key for cell in cells}
-    resumed: dict[str, CellResult] = {}
-    replayed: tuple[CellFailure, ...] = ()
-    if not force:
-        state = cache.load_resume_state(spec)
-        if state is not None:
-            resumed = {key: row for key, row in state.rows.items() if key in keys}
-            recorded = tuple(f for f in state.failures if f.key in keys)
-            if recorded and state.status == "partial":
-                replayed = recorded
-    replayed_keys = {failure.key for failure in replayed}
-    pending = [
-        cell for cell in cells
-        if cell.key not in resumed and cell.key not in replayed_keys
-    ]
-
-    started = time.perf_counter()
-    writer = cache.writer(spec, resumed=resumed, failures=replayed)
     queue = FleetQueue(cache.path(spec))
     units = build_units(spec, pending)
-    queue.create_campaign(spec, units, policy, reset=force)
-
+    queue.create_campaign(spec, units, policy.lease_timeout, supervision, reset=force)
     if not units:
-        computed, failed = _merge_into_writer(writer, queue)
-        return _finalize(cache, spec, writer, queue, resumed, replayed,
-                         computed, started, policy)
-
+        return
     # Forked workers inherit the warmed shared inputs instead of recomputing
     # them once per process.
-    singles = [cell for unit in units if unit.kind == "cell" for cell in unit.cells]
-    warm_shared_inputs(spec, singles)
+    warm_shared_inputs(spec, [c for unit in units if unit.kind == "cell" for c in unit.cells])
 
-    context = _fork_context()
+    context = fork_context()
     spec_dict = spec.to_dict()
+    seen: set[str] = set()
+    failures: list[CellFailure] = []
     interrupted: list[int] = []
 
     def _on_signal(signum, frame):  # noqa: ARG001
         interrupted.append(signum)
+
+    def _settled() -> Iterator[tuple[str, Any]]:
+        for event in queue.settled_events(seen):
+            if event[0] == "failures":
+                failures.extend(event[1])
+            yield event
 
     previous_handlers = {}
     try:
@@ -1075,152 +1006,104 @@ def run_fleet_campaign(
         pass  # embedded in a non-main thread: drain only via settle/budget
 
     processes: list = []
-    spawned = 0
+    buried: set[int] = set()
+
+    def _bury(process) -> None:
+        if process.pid not in buried:
+            buried.add(process.pid)
+            _kill_worker(process)
+
+    def _stop_workers(grace: float) -> None:
+        """Ask workers to finish their unit (SIGTERM); kill them after ``grace``."""
+        for process in processes:
+            if process.pid not in buried and process.is_alive():
+                process.terminate()
+        deadline = time.time() + grace
+        for process in processes:
+            process.join(timeout=max(0.0, deadline - time.time()))
+            _bury(process)
 
     def _spawn() -> None:
-        nonlocal spawned
-        spawned += 1
-        owner = f"{queue.host}-{os.getpid()}-w{spawned}"
+        owner = f"{queue.host}-{os.getpid()}-w{len(processes) + 1}"
+        # Not daemonic: a worker forks its unit's supervised child.
         process = context.Process(
             target=_worker_entry, args=(str(queue.entry_dir), spec_dict, owner),
-            daemon=True,
         )
         process.start()
+        try:
+            os.setpgid(process.pid, process.pid)  # also done by the child
+        except OSError:
+            pass
         processes.append(process)
 
     try:
         for _ in range(min(policy.workers, len(units))):
             _spawn()
-        respawns = 0
+        exhausted = False
         while True:
-            if interrupted:
-                _drain(processes, queue, writer, policy, started)
-                status = queue.status()
-                raise CampaignInterrupted(
-                    interrupted[0],
-                    settled=status["done"] + status["failed"],
-                    total=len(units),
-                )
-            queue.reap_expired()
-            status = queue.status()
-            failure_cells = sum(
-                len(records) for _u, records in queue.failure_records()
-            )
-            if failure_cells > policy.max_failures:
-                _drain(processes, queue, writer, policy, started)
-                failures = [
-                    CellFailure.from_dict(record)
-                    for _u, records in queue.failure_records()
-                    for record in records
-                ]
-                raise FailureBudgetExceeded(failures, policy.max_failures)
-            if status["settled"]:
-                break
-            alive = [p for p in processes if p.is_alive()]
-            dead = len(processes) - len(alive)
-            if dead and len(alive) < min(policy.workers, status["pending"] or 1):
-                if respawns < policy.max_respawns:
-                    respawns += 1
-                    logger.warning(
-                        "fleet: %d worker(s) died; respawning (%d/%d)",
-                        dead, respawns, policy.max_respawns,
-                    )
-                    _spawn()
-                elif not alive:
-                    # Out of respawns with no worker left: drain what we
-                    # have into a resumable partial manifest and give up.
-                    _drain(processes, queue, writer, policy, started)
+            if interrupted or exhausted or len(failures) > supervision.max_failures:
+                _stop_workers(_DRAIN_GRACE)
+                yield from _settled()
+                queue.release_all_leases()
+                if interrupted:
+                    raise CampaignInterrupted(interrupted[0], len(seen), len(units))
+                if exhausted:
                     raise RuntimeError(
                         "fleet: every worker died and the respawn budget "
-                        f"({policy.max_respawns}) is exhausted; partial "
-                        "manifest written"
+                        f"({_MAX_RESPAWNS}) is exhausted; partial manifest written"
                     )
-            time.sleep(policy.poll_interval)
-        for process in processes:
-            process.join(timeout=max(policy.drain_grace, 1.0))
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=1.0)
+                raise FailureBudgetExceeded(failures, supervision.max_failures)
+            if len(seen) == len(units):
+                break
+            queue.reap_expired()
+            yield from _settled()
+            if len(seen) == len(units):
+                continue  # settled: workers are exiting, do not respawn them
+            for process in processes:
+                if not process.is_alive():
+                    _bury(process)  # its unit's child may still run
+            alive = len(processes) - len(buried)
+            if alive < min(policy.workers, len(units) - len(seen)):
+                respawns = len(processes) - min(policy.workers, len(units))
+                if respawns < _MAX_RESPAWNS:
+                    logger.warning("fleet: %d worker(s) died; respawning (%d/%d)",
+                                   len(buried), respawns + 1, _MAX_RESPAWNS)
+                    _spawn()
+                elif not alive:
+                    exhausted = True
+                    continue
+            time.sleep(_POLL_INTERVAL)
     finally:
         for signum, handler in previous_handlers.items():
             try:
                 signal.signal(signum, handler)
             except ValueError:
                 pass
-        for process in processes:
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=1.0)
-
-    computed, _failed = _merge_into_writer(writer, queue)
-    return _finalize(cache, spec, writer, queue, resumed, replayed,
-                     computed, started, policy)
+        # Settled workers exit on their own; anything left after the grace
+        # (or after an error above) is killed with its group.
+        _stop_workers(_DRAIN_GRACE)
 
 
-def _drain(processes, queue: FleetQueue, writer: CacheWriter,
-           policy: FleetPolicy, started: float) -> None:
-    """Graceful shutdown: drain workers, merge shards, write a resumable
-    partial manifest, release every lease."""
-    for process in processes:
-        if process.is_alive():
-            process.terminate()  # workers drain on SIGTERM
-    deadline = time.time() + policy.drain_grace
-    for process in processes:
-        remaining = max(0.0, deadline - time.time())
-        process.join(timeout=remaining)
-        if process.is_alive():
-            process.kill()
-            process.join(timeout=1.0)
-    _merge_into_writer(writer, queue)
-    writer.write_partial(elapsed_seconds=time.perf_counter() - started)
-    released = queue.release_all_leases()
-    logger.info(
-        "fleet: drained — partial manifest written (%d row(s), %d failure "
-        "record(s)), %d lease(s) released",
-        len(writer._records), len(writer._failures), released,
+def run_fleet_campaign(
+    cache: ResultCache,
+    spec: ScenarioSpec,
+    policy: FleetPolicy | None = None,
+    supervision: SupervisionPolicy | None = None,
+    force: bool = False,
+) -> ExperimentResult:
+    """Run ``spec`` to completion on a fleet of leased local workers.
+
+    The fleet backend of :class:`ExperimentRunner`: serves/resumes from the
+    cache exactly like a pool run, raises :class:`FailureBudgetExceeded`
+    when permanent failures exceed the budget (partial manifest persisted),
+    and raises :class:`CampaignInterrupted` after a graceful SIGINT/SIGTERM
+    drain.
+    """
+    runner = ExperimentRunner(
+        cache_dir=cache.directory, supervision=supervision, backend="fleet",
+        fleet=policy,
     )
-
-
-def _finalize(cache, spec, writer, queue, resumed, replayed, computed,
-              started, policy) -> ExperimentResult:
-    elapsed = time.perf_counter() - started
-    cells = spec.cells()
-    rows_by_key = dict(resumed)
-    rows_by_key.update(_rows_from_records(cache.path(spec), computed))
-    failures_by_key = {failure.key: failure for failure in replayed}
-    for _unit, records in queue.failure_records():
-        for record in records:
-            if record.get("key") not in rows_by_key:
-                failures_by_key[record["key"]] = CellFailure.from_dict(record)
-    failures = tuple(
-        failures_by_key[cell.key] for cell in cells if cell.key in failures_by_key
-    )
-    artifacts = [
-        record for record in computed if record.get("artifact") is not None
-    ]
-    result = ExperimentResult(
-        name=spec.name,
-        spec=spec.to_dict(),
-        spec_hash=spec.hash(),
-        rows=tuple(rows_by_key[c.key] for c in cells if c.key in rows_by_key),
-        elapsed_seconds=elapsed,
-        meta={
-            "cells_total": len(cells),
-            "cells_computed": len(computed),
-            "cells_from_cache": len(resumed),
-            "cells_failed": len(failures),
-            "cells_retried": queue.retried_cells(),
-            "artifacts_written": len(artifacts),
-            "artifact_bytes_written": sum(
-                int(r["artifact"].get("nbytes", 0)) for r in artifacts
-            ),
-            "backend": "fleet",
-            "workers": policy.workers,
-        },
-        failures=failures,
-    )
-    writer.finalize(elapsed)
-    return result
+    return runner.run(spec, force=force)
 
 
 # ----------------------------------------------------------------------
@@ -1230,6 +1113,7 @@ def submit_campaign(
     cache: ResultCache,
     spec: ScenarioSpec,
     policy: FleetPolicy | None = None,
+    supervision: SupervisionPolicy | None = None,
     force: bool = False,
 ) -> dict:
     """Create (or attach to) a campaign without running any worker.
@@ -1239,44 +1123,28 @@ def submit_campaign(
     directory — drain the queue, and ``fleet status`` / ``fleet fetch``
     observe and merge.  Returns a status snapshot.
     """
-    policy = policy or FleetPolicy()
+    entry = str(cache.path(spec))
     if not force and cache.load(spec) is not None:
-        return {"entry": str(cache.path(spec)), "units": 0, "done": 0,
-                "failed": 0, "leased": 0, "pending": 0, "settled": True,
-                "complete": True}
-    cells = spec.cells()
-    keys = {cell.key for cell in cells}
-    resumed: dict[str, CellResult] = {}
-    replayed_keys: set[str] = set()
-    if not force:
-        state = cache.load_resume_state(spec)
-        if state is not None:
-            resumed = {key: row for key, row in state.rows.items() if key in keys}
-            if state.status == "partial":
-                replayed_keys = {
-                    f.key for f in state.failures if f.key in keys
-                }
-    pending = [
-        cell for cell in cells
-        if cell.key not in resumed and cell.key not in replayed_keys
-    ]
+        return {"entry": entry, "units": 0, "done": 0, "failed": 0, "leased": 0,
+                "pending": 0, "settled": True, "complete": True}
     queue = FleetQueue(cache.path(spec))
-    queue.create_campaign(spec, build_units(spec, pending), policy, reset=force)
-    status = queue.status()
-    status["entry"] = str(cache.path(spec))
-    status["complete"] = False
-    return status
+    queue.create_campaign(
+        spec,
+        build_units(spec, plan_run(cache, spec, force).pending),
+        (policy or FleetPolicy()).lease_timeout,
+        supervision or SupervisionPolicy(),
+        reset=force,
+    )
+    return {**queue.status(), "entry": entry, "complete": False}
 
 
 def campaign_status(cache: ResultCache, spec: ScenarioSpec) -> dict | None:
     """Status snapshot of an existing campaign, or ``None`` if there is none."""
     queue = FleetQueue(cache.path(spec))
-    if not queue.exists() or not queue.load_campaign():
+    if not queue.load_campaign():
         return None
-    status = queue.status()
-    status["entry"] = str(cache.path(spec))
-    status["workers"] = queue.worker_states()
-    return status
+    return {**queue.status(), "entry": str(cache.path(spec)),
+            "workers": queue.worker_states()}
 
 
 def fetch_campaign(
@@ -1291,24 +1159,11 @@ def fetch_campaign(
     no campaign exists.
     """
     queue = FleetQueue(cache.path(spec))
-    if not queue.exists() or not queue.load_campaign():
+    if not queue.load_campaign():
         raise FileNotFoundError(f"no fleet campaign at {queue.campaign_path}")
-    policy = queue.policy
-    cells = spec.cells()
-    keys = {cell.key for cell in cells}
-    resumed: dict[str, CellResult] = {}
-    replayed: tuple[CellFailure, ...] = ()
-    state = cache.load_resume_state(spec)
-    if state is not None:
-        resumed = {key: row for key, row in state.rows.items() if key in keys}
-        if state.status == "partial":
-            replayed = tuple(f for f in state.failures if f.key in keys)
-    writer = cache.writer(spec, resumed=resumed, failures=replayed)
-    started = time.perf_counter()
-    computed, _failed = _merge_into_writer(writer, queue)
-    if not queue.settled():
-        writer.write_partial()
-        return "in-progress", None
-    result = _finalize(cache, spec, writer, queue, resumed, replayed,
-                       computed, started, policy)
-    return "complete", result
+    settled = queue.settled()
+    result = collect_result(
+        cache, spec, plan_run(cache, spec), queue.settled_events(set()),
+        meta={"backend": "fleet"}, finalize=settled,
+    )
+    return ("complete", result) if settled else ("in-progress", None)

@@ -49,20 +49,23 @@ always persisted and cache-served rows carry lazy refs, so
 
 Execution backends are **pluggable**: the default ``"pool"`` backend fans
 out over supervisor-owned worker processes as described above, while
-``backend="fleet"`` routes the same load/resume/finalize contract through
-the crash-tolerant distributed work queue of :mod:`repro.experiments.fleet`
-— leased stateless workers sharing the run directory, safe against SIGKILL
-of workers *and* supervisor.  The fleet backend requires a cache directory
-(the queue lives inside the run directory) and produces manifests whose
-:func:`~repro.experiments.cache.manifest_fingerprint` is identical to a
-serial pool run's.
+``backend="fleet"`` feeds the same plan → events → result path from the
+crash-tolerant distributed work queue of :mod:`repro.experiments.fleet` —
+leased stateless workers sharing the run directory, safe against SIGKILL of
+workers *and* supervisor.  A fleet worker runs each unit it claims through
+the same :func:`run_supervised` envelope, so one
+:class:`SupervisionPolicy` decides timeouts, retries, backoff and the
+failure budget on both backends.  The fleet backend requires a cache
+directory (the queue lives inside the run directory) and produces manifests
+whose :func:`~repro.experiments.cache.manifest_fingerprint` is identical to
+a serial pool run's.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
+from dataclasses import dataclass
 from typing import Any, Iterator
 
 from repro.experiments.cache import ResultCache
@@ -109,6 +112,130 @@ def _execute_payload(payload) -> list[tuple[str, CellResult]]:
     ]
 
 
+@dataclass
+class RunPlan:
+    """What a run of one spec still has to compute, given the cache."""
+
+    cells: list[Cell]
+    #: Rows served from a partial or finished-with-failures cache entry.
+    resumed: dict[str, CellResult]
+    #: Failure records replayed from a *partial* entry (see :func:`plan_run`).
+    replayed: tuple[CellFailure, ...]
+    pending: list[Cell]
+
+
+def plan_run(
+    cache: ResultCache | None, spec: ScenarioSpec, force: bool = False
+) -> RunPlan:
+    """Load the resume state of ``spec`` and split its grid accordingly.
+
+    Completed rows resume.  Failure records resume only from a ``partial``
+    entry: the writing run was killed *after* those cells burned their retry
+    budget, so they are replayed instead of recomputing cells that may well
+    hang or crash again.  A run that *finished* with failures is retried
+    instead: its failed cells stay pending.
+    """
+    cells = spec.cells()
+    keys = {cell.key for cell in cells}
+    resumed: dict[str, CellResult] = {}
+    replayed: tuple[CellFailure, ...] = ()
+    state = cache.load_resume_state(spec) if cache is not None and not force else None
+    if state is not None:
+        resumed = {key: row for key, row in state.rows.items() if key in keys}
+        if state.status == "partial":
+            replayed = tuple(f for f in state.failures if f.key in keys)
+    skip = set(resumed) | {failure.key for failure in replayed}
+    return RunPlan(cells, resumed, replayed, [c for c in cells if c.key not in skip])
+
+
+def collect_result(
+    cache: ResultCache | None,
+    spec: ScenarioSpec,
+    plan: RunPlan,
+    events: Iterator[tuple[str, Any]],
+    keep_artifacts: bool = False,
+    meta: dict | None = None,
+    finalize: bool = True,
+) -> ExperimentResult:
+    """Consume supervision events into the cache entry and the result.
+
+    Events are those of :func:`run_supervised`: ``("rows", [(key, row)])``,
+    ``("retry", keys)`` and ``("failures", [CellFailure])``.  Every row and
+    failure is persisted as it arrives, so an exception out of ``events``
+    (:class:`FailureBudgetExceeded`, an interrupted fleet) leaves the entry
+    ``partial`` with everything received so far — deliberately not
+    finalized, so a later run resumes.  ``finalize=False`` writes the same
+    resumable ``partial`` entry on success (a fleet fetch of an unsettled
+    campaign).
+    """
+    started = time.perf_counter()
+    writer = (
+        cache.writer(spec, resumed=plan.resumed, failures=plan.replayed)
+        if cache is not None else None
+    )
+    rows_by_key = dict(plan.resumed)
+    failures_by_key = {failure.key: failure for failure in plan.replayed}
+    retried = 0
+    for event, body in events:
+        if event == "rows":
+            for key, row in body:
+                if writer is not None:
+                    row = writer.add(key, row, keep_in_memory=keep_artifacts)
+                rows_by_key[key] = row
+                failures_by_key.pop(key, None)
+        elif event == "retry":
+            retried += len(body)
+        else:  # "failures"
+            for failure in body:
+                failures_by_key[failure.key] = failure
+                if writer is not None:
+                    writer.add_failure(failure)
+    elapsed = time.perf_counter() - started
+
+    cells = plan.cells
+    failures = tuple(
+        failures_by_key[cell.key] for cell in cells if cell.key in failures_by_key
+    )
+    result = ExperimentResult(
+        name=spec.name,
+        spec=spec.to_dict(),
+        spec_hash=spec.hash(),
+        rows=tuple(rows_by_key[cell.key] for cell in cells if cell.key in rows_by_key),
+        elapsed_seconds=elapsed,
+        meta={
+            "cells_total": len(cells),
+            "cells_computed": len(rows_by_key) - len(plan.resumed),
+            "cells_from_cache": len(plan.resumed),
+            "cells_failed": len(failures),
+            "cells_retried": retried,
+            "artifacts_written": writer.artifacts_written if writer else 0,
+            "artifact_bytes_written": writer.bytes_written if writer else 0,
+            **(meta or {}),
+        },
+        failures=failures,
+    )
+    if writer is not None:
+        if finalize:
+            writer.finalize(elapsed)
+        else:
+            writer.write_partial(elapsed)
+    return result
+
+
+def supervised_task(
+    spec_dict: dict, kind: str, cells: "list[Cell] | tuple[Cell, ...]", keep: bool
+) -> SupervisedTask:
+    """The :func:`run_supervised` task of one work unit (``"cell"``/``"group"``)."""
+    body = [cell.to_dict() for cell in cells] if kind == "group" else cells[0].to_dict()
+    return SupervisedTask(
+        payload=(kind, spec_dict, body, keep),
+        keys=tuple(cell.key for cell in cells),
+        cells=tuple(
+            (cell.key, cell.solver_label, cell.seed, cell.replication) for cell in cells
+        ),
+    )
+
+
 class ExperimentRunner:
     """Executes scenario grids; optionally parallel, supervised and cached.
 
@@ -127,21 +254,20 @@ class ExperimentRunner:
         are written whenever a cache is configured, and cache-served rows
         always carry lazy artifact refs.
     supervision:
-        Knobs of the supervision envelope (per-cell timeout, retries,
-        failure budget).  ``None`` uses the default
-        :class:`SupervisionPolicy` for parallel runs and leaves serial runs
-        unsupervised (exceptions propagate) unless ``REPRO_FAULT_INJECT``
-        is set.
+        Knobs of the supervision envelope (per-attempt timeout, retries,
+        backoff, failure budget) on either backend.  ``None`` uses the
+        default :class:`SupervisionPolicy` for parallel and fleet runs and
+        leaves serial runs unsupervised (exceptions propagate) unless
+        ``REPRO_FAULT_INJECT`` is set.
     backend:
         ``"pool"`` (default) — supervisor-owned worker processes;
         ``"fleet"`` — the distributed work-queue backend of
         :mod:`repro.experiments.fleet` (requires ``cache_dir``; the queue
-        lives inside the run directory).  Retries and the failure budget of
-        ``supervision`` carry over; the per-cell timeout maps onto the
-        fleet's lease timeout.
+        lives inside the run directory).
     fleet:
-        Full :class:`~repro.experiments.fleet.FleetPolicy` for the fleet
-        backend; ``None`` derives one from ``jobs`` and ``supervision``.
+        :class:`~repro.experiments.fleet.FleetPolicy` (workers, lease
+        timeout) of the fleet backend; ``None`` spawns ``jobs`` workers
+        (default 2) with the default lease timeout.
     """
 
     def __init__(
@@ -180,108 +306,28 @@ class ExperimentRunner:
         failure records persisted, so a later run resumes instead of
         starting over.
         """
-        if self.backend == "fleet":
-            return self._run_fleet(spec, force)
-        use_cache = self.cache is not None
-        if use_cache and not force:
+        if self.cache is not None and not force:
             cached = self.cache.load(spec)
             if cached is not None:
                 return cached
+        plan = plan_run(self.cache, spec, force)
+        if self.backend == "fleet":
+            # Imported lazily: the fleet module imports this one.
+            from repro.experiments.fleet import FleetPolicy, campaign_events
 
-        cells = spec.cells()
-        keys = {cell.key for cell in cells}
-        resumed: dict[str, CellResult] = {}
-        replayed: tuple[CellFailure, ...] = ()
-        if use_cache and not force:
-            state = self.cache.load_resume_state(spec)
-            if state is not None:
-                resumed = {key: row for key, row in state.rows.items() if key in keys}
-                recorded = tuple(f for f in state.failures if f.key in keys)
-                if recorded and state.status == "partial":
-                    # The writing run was killed *after* these cells burned
-                    # their retry budget: replay the records instead of
-                    # recomputing cells that may well hang or crash again.
-                    # A run that *finished* with failures is retried instead:
-                    # its failed cells stay pending below.
-                    replayed = recorded
-        replayed_keys = {failure.key for failure in replayed}
-        pending = [
-            cell for cell in cells
-            if cell.key not in resumed and cell.key not in replayed_keys
-        ]
-
-        started = time.perf_counter()
-        writer = (
-            self.cache.writer(spec, resumed=resumed, failures=replayed)
-            if use_cache else None
-        )
-        rows_by_key = dict(resumed)
-        failures_by_key = {failure.key: failure for failure in replayed}
-        retried = 0
-        # On FailureBudgetExceeded the writer is deliberately NOT finalized:
-        # the entry stays "partial" with every completed row and failure
-        # record already persisted by the streaming writes below.
-        for event, body in self._stream(spec, pending):
-            if event == "rows":
-                for key, row in body:
-                    if writer is not None:
-                        row = writer.add(key, row, keep_in_memory=self.keep_artifacts)
-                    rows_by_key[key] = row
-                    failures_by_key.pop(key, None)
-            elif event == "retry":
-                retried += len(body)
-            else:  # "failures"
-                for failure in body:
-                    failures_by_key[failure.key] = failure
-                    if writer is not None:
-                        writer.add_failure(failure)
-        elapsed = time.perf_counter() - started
-
-        failures = tuple(
-            failures_by_key[cell.key] for cell in cells if cell.key in failures_by_key
-        )
-        result = ExperimentResult(
-            name=spec.name,
-            spec=spec.to_dict(),
-            spec_hash=spec.hash(),
-            rows=tuple(
-                rows_by_key[cell.key] for cell in cells if cell.key in rows_by_key
-            ),
-            elapsed_seconds=elapsed,
-            meta={
-                "cells_total": len(cells),
-                "cells_computed": len(rows_by_key) - len(resumed),
-                "cells_from_cache": len(resumed),
-                "cells_failed": len(failures),
-                "cells_retried": retried,
-                "artifacts_written": writer.artifacts_written if writer else 0,
-                "artifact_bytes_written": writer.bytes_written if writer else 0,
-            },
-            failures=failures,
-        )
-        if writer is not None:
-            writer.finalize(elapsed)
-        return result
-
-    # ------------------------------------------------------------------
-    def _run_fleet(self, spec: ScenarioSpec, force: bool) -> ExperimentResult:
-        # Imported lazily: fleet pulls in this module's solver imports via
-        # its own path, and most runs never need the distributed machinery.
-        from repro.experiments.fleet import FleetPolicy, run_fleet_campaign
-
-        policy = self.fleet
-        if policy is None:
-            supervision = self.supervision or SupervisionPolicy()
-            defaults = FleetPolicy()
-            policy = FleetPolicy(
-                workers=self.jobs or defaults.workers,
-                lease_timeout=supervision.cell_timeout or defaults.lease_timeout,
-                max_attempts=1 + supervision.retries,
-                max_failures=supervision.max_failures,
-                backoff_base=supervision.backoff_base,
-                backoff_cap=supervision.backoff_cap,
+            policy = self.fleet or (
+                FleetPolicy(workers=self.jobs) if self.jobs else FleetPolicy()
             )
-        return run_fleet_campaign(self.cache, spec, policy, force=force)
+            events = campaign_events(
+                self.cache, spec, plan.pending, policy,
+                self.supervision or SupervisionPolicy(), force,
+            )
+            meta = {"backend": "fleet", "workers": policy.workers}
+        else:
+            events, meta = self._stream(spec, plan.pending), None
+        return collect_result(
+            self.cache, spec, plan, events, self.keep_artifacts, meta
+        )
 
     # ------------------------------------------------------------------
     def _stream(
@@ -321,37 +367,15 @@ class ExperimentRunner:
         # the warmed caches instead of recomputing them per process.
         warm_shared_inputs(spec, singles)
         spec_dict = spec.to_dict()
-        tasks = []
-        for group in groups:
-            tasks.append(SupervisedTask(
-                payload=("group", spec_dict, [cell.to_dict() for cell in group], keep),
-                keys=tuple(cell.key for cell in group),
-                cells=tuple(
-                    (cell.key, cell.solver_label, cell.seed, cell.replication)
-                    for cell in group
-                ),
-            ))
-        for cell in singles:
-            tasks.append(SupervisedTask(
-                payload=("cell", spec_dict, cell.to_dict(), keep),
-                keys=(cell.key,),
-                cells=((cell.key, cell.solver_label, cell.seed, cell.replication),),
-            ))
+        tasks = [supervised_task(spec_dict, "group", group, keep) for group in groups]
+        tasks += [supervised_task(spec_dict, "cell", (cell,), keep) for cell in singles]
         policy = self.supervision or SupervisionPolicy()
-        yield from run_supervised(
-            tasks, _execute_payload, policy, jobs, context=_pool_context()
-        )
+        yield from run_supervised(tasks, _execute_payload, policy, jobs)
 
     def _effective_jobs(self, num_units: int) -> int:
         if self.jobs is not None:
             return min(self.jobs, num_units)
         return max(1, min(os.cpu_count() or 1, _MAX_DEFAULT_JOBS, num_units))
-
-
-def _pool_context():
-    """Prefer ``fork`` (cheap, inherits ``sys.path``) where available."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
 def run_scenario(

@@ -48,6 +48,7 @@ __all__ = [
     "FailureBudgetExceeded",
     "SupervisedTask",
     "SupervisionPolicy",
+    "fork_context",
     "run_supervised",
 ]
 
@@ -103,6 +104,12 @@ class SupervisionPolicy:
             raise ValueError("max_failures must be >= 0")
         if self.backoff_base <= 0 or self.backoff_cap < self.backoff_base:
             raise ValueError("backoff must satisfy 0 < base <= cap")
+
+
+def fork_context():
+    """Prefer ``fork`` (cheap, inherits ``sys.path`` and warmed caches)."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
 @dataclass(frozen=True)
@@ -188,8 +195,7 @@ def run_supervised(
     if validate_rows is None:
         validate_rows = _rows_valid
     if context is None:
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context("fork" if "fork" in methods else None)
+        context = fork_context()
     jobs = max(1, jobs)
     max_attempts = 1 + policy.retries
     # Jitter only spaces out retry launches; results never depend on it.

@@ -37,6 +37,7 @@ from repro.experiments import (
     ReplicationPolicy,
     ScenarioSpec,
     SolverSpec,
+    SupervisionPolicy,
     SyntheticWorkload,
     fetch_campaign,
     parse_fault_spec,
@@ -80,15 +81,7 @@ def small_spec(name="fleet_unit") -> ScenarioSpec:
 
 
 def fast_policy(**overrides) -> FleetPolicy:
-    fields = dict(
-        workers=2,
-        lease_timeout=2.0,
-        max_attempts=3,
-        backoff_base=0.01,
-        backoff_cap=0.05,
-        poll_interval=0.02,
-        drain_grace=2.0,
-    )
+    fields = dict(workers=2, lease_timeout=2.0)
     fields.update(overrides)
     return FleetPolicy(**fields)
 
@@ -121,13 +114,13 @@ class TestFleetFaultGrammar:
         )
 
     def test_kind_sets_partition_as_documented(self):
-        # hang/corrupt are pool-only (a fleet worker heartbeats through a
-        # hang); the fleet kinds are meaningless to the pool envelope.
-        assert "hang" in POOL_FAULT_KINDS and "hang" not in FLEET_FAULT_KINDS
-        assert "corrupt" in POOL_FAULT_KINDS and "corrupt" not in FLEET_FAULT_KINDS
+        # The pool kinds fire inside the supervised child on either backend
+        # (a fleet unit runs through the same envelope); the fleet kinds act
+        # on the worker that claimed the unit and mean nothing to the pool.
+        for kind in ("crash", "hang", "error", "corrupt"):
+            assert kind in POOL_FAULT_KINDS and kind not in FLEET_FAULT_KINDS
         for kind in ("worker-kill", "lease-stall", "double-claim"):
             assert kind in FLEET_FAULT_KINDS and kind not in POOL_FAULT_KINDS
-        assert "crash" in POOL_FAULT_KINDS and "crash" in FLEET_FAULT_KINDS
 
     def test_kinds_filter_hides_foreign_directives(self):
         fleet_only = FaultDirective(kind="worker-kill", pattern="*")
@@ -254,12 +247,74 @@ class TestCrashTolerance:
         assert result.meta["cells_retried"] == 2  # two bounds cells, one retry each
         assert manifest_fingerprint(cache.manifest_path(spec)) == baseline
 
+    def test_corrupt_payload_retries_to_identical_result(self, tmp_path, monkeypatch):
+        spec = small_spec()
+        baseline = serial_fingerprint(spec, tmp_path)
+        cache = ResultCache(tmp_path / "fleet")
+        monkeypatch.setenv(FAULT_ENV, "corrupt:bounds:1")
+        result = run_fleet_campaign(cache, spec, fast_policy())
+        assert len(result.rows) == len(spec.cells())
+        assert not result.failures
+        assert result.meta["cells_retried"] == 2
+        assert manifest_fingerprint(cache.manifest_path(spec)) == baseline
+
+    def test_hang_times_out_while_the_lease_heartbeats(self, tmp_path, monkeypatch):
+        spec = small_spec()
+        cache = ResultCache(tmp_path / "fleet")
+        hung = next(c.key for c in spec.cells() if "mva" in c.key and "population=3" in c.key)
+        monkeypatch.setenv(FAULT_ENV, f"hang:{hung}")
+        # The cell timeout is three lease timeouts: the lease survives the
+        # hang only because the worker keeps heartbeating it.
+        result = run_fleet_campaign(
+            cache, spec, fast_policy(lease_timeout=1.0),
+            SupervisionPolicy(cell_timeout=3.0, retries=0, max_failures=1),
+        )
+        assert [(f.key, f.kind, f.attempts) for f in result.failures] == [
+            (hung, "timeout", 1)
+        ]
+        assert len(result.rows) == len(spec.cells()) - 1
+        assert result.meta["cells_retried"] == 0
+        queue = FleetQueue(cache.path(spec))
+        unit = next(u for u in queue.units if u.keys == (hung,))
+        assert queue.claim_count(unit.id) == 1  # never reaped, never re-claimed
+
+    def test_pool_and_fleet_share_one_retry_policy(self, tmp_path, monkeypatch):
+        spec = small_spec()
+        policy = SupervisionPolicy(
+            retries=1, max_failures=2, backoff_base=0.01, backoff_cap=0.05
+        )
+        monkeypatch.setenv(FAULT_ENV, "crash:bounds:1;error:mva")
+        pool_cache = ResultCache(tmp_path / "pool")
+        fleet_cache = ResultCache(tmp_path / "fleet")
+        pool = ExperimentRunner(
+            cache_dir=pool_cache.directory, jobs=2, supervision=policy
+        ).run(spec)
+        fleet = ExperimentRunner(
+            cache_dir=fleet_cache.directory, supervision=policy, backend="fleet",
+            fleet=fast_policy(workers=2),
+        ).run(spec)
+
+        def failure_set(result):
+            return {(f.key, f.kind, f.attempts) for f in result.failures}
+
+        # Two bounds cells retried once each, two mva cells retried once
+        # before failing with two attempts.
+        assert pool.meta["cells_retried"] == fleet.meta["cells_retried"] == 4
+        assert failure_set(pool) == failure_set(fleet)
+        assert {(kind, attempts) for _, kind, attempts in failure_set(pool)} == {
+            ("error", 2)
+        }
+        assert len(failure_set(pool)) == 2
+        assert manifest_fingerprint(pool_cache.manifest_path(spec)) == (
+            manifest_fingerprint(fleet_cache.manifest_path(spec))
+        )
+
     def test_budget_exceeded_leaves_resumable_partial(self, tmp_path, monkeypatch):
         spec = small_spec()
         cache = ResultCache(tmp_path / "fleet")
         monkeypatch.setenv(FAULT_ENV, "error:mva")  # every attempt of mva fails
         with pytest.raises(FailureBudgetExceeded):
-            run_fleet_campaign(cache, spec, fast_policy(max_attempts=2))
+            run_fleet_campaign(cache, spec, fast_policy(), SupervisionPolicy(retries=1))
         manifest = json.loads(cache.manifest_path(spec).read_text())
         assert manifest["status"] == "partial"
         # Every lease was released by the drain.
@@ -271,7 +326,9 @@ class TestCrashTolerance:
         # record; the run after that retries exactly the failed cells.
         monkeypatch.delenv(FAULT_ENV)
         baseline = serial_fingerprint(spec, tmp_path)
-        replay = run_fleet_campaign(cache, spec, fast_policy(max_failures=2))
+        replay = run_fleet_campaign(
+            cache, spec, fast_policy(), SupervisionPolicy(max_failures=2)
+        )
         assert replay.failures
         assert all("mva" in f.key for f in replay.failures)
         retry = run_fleet_campaign(cache, spec, fast_policy())
@@ -285,7 +342,7 @@ class TestCrashTolerance:
         cache = ResultCache(tmp_path / "fleet")
         monkeypatch.setenv(FAULT_ENV, "error:mva")
         result = run_fleet_campaign(
-            cache, spec, fast_policy(max_attempts=2, max_failures=2)
+            cache, spec, fast_policy(), SupervisionPolicy(retries=1, max_failures=2)
         )
         assert len(result.failures) == 2
         assert {f.kind for f in result.failures} == {"error"}
@@ -309,8 +366,7 @@ from repro.experiments.cache import ResultCache
 
 spec = ScenarioSpec.from_dict(json.loads(sys.argv[1]))
 cache = ResultCache(sys.argv[2])
-policy = FleetPolicy(workers=2, lease_timeout=60.0, poll_interval=0.02,
-                     drain_grace=5.0, backoff_base=0.01, backoff_cap=0.05)
+policy = FleetPolicy(workers=2, lease_timeout=60.0)
 try:
     run_fleet_campaign(cache, spec, policy)
 except CampaignInterrupted:
@@ -483,6 +539,21 @@ class TestFleetCli:
         ]) == 2
         assert "needs the cache" in capsys.readouterr().err
 
+    def test_work_keeps_the_submitted_retry_policy(self, tmp_path, capsys, monkeypatch):
+        cache_dir = str(tmp_path / "cache")
+        assert main([
+            "fleet", "submit", "smoke", "--retries", "0", "--max-failures", "5",
+            "--cache-dir", cache_dir,
+        ]) == 0
+        monkeypatch.setenv(FAULT_ENV, "error:mva")
+        # Under the default policy (2 retries, no failure budget) this run
+        # would abort with exit 1.
+        assert main(["fleet", "work", "smoke", "--cache-dir", cache_dir]) == 3
+        capsys.readouterr()
+        manifest = json.loads(next(Path(cache_dir).glob("smoke-*/manifest.json")).read_text())
+        assert manifest["failures"]
+        assert {(f["kind"], f["attempts"]) for f in manifest["failures"]} == {("error", 1)}
+
     def test_submit_on_complete_entry_is_a_noop(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
         assert main(["fleet", "work", "smoke", "--workers", "2",
@@ -512,9 +583,10 @@ class TestQueueMechanics:
         time.sleep(0.3)  # let the lease expire without heartbeats
         assert queue.reap_expired() == 1
         assert queue.reap_expired() == 0  # second reaper finds nothing
-        state = queue._attempt_state(claim.unit.id)
-        assert state["attempts"] == 1
-        assert state["not_before"] > 0
+        # Exactly one claim was used up: the next claim is attempt 2.
+        again, _busy = queue.claim_next("w1")
+        assert again is not None and again.unit.id == claim.unit.id
+        assert again.attempt == 2
 
     def test_campaign_attach_keeps_committed_units(self, tmp_path):
         spec = small_spec()
@@ -533,3 +605,183 @@ class TestQueueMechanics:
         # --force resets everything.
         status = submit_campaign(cache, spec, policy, force=True)
         assert status["done"] == 0
+
+
+class TestReapRaces:
+    """Deterministic interleavings of one reaper with a rival queue user.
+
+    ``os.rename``/``os.unlink`` are wrapped so the rival acts at the exact
+    moment the reaper removes (or is about to remove) the stale lease.
+    """
+
+    def _stale_claim(self, tmp_path):
+        spec = small_spec()
+        cache = ResultCache(tmp_path / "c")
+        submit_campaign(cache, spec, fast_policy(lease_timeout=0.1))
+        queue = FleetQueue(cache.path(spec))
+        claim, _busy = queue.claim_next("w1")
+        assert claim is not None
+        time.sleep(0.3)  # let the lease go stale without heartbeats
+        return FleetQueue(cache.path(spec)), queue, claim
+
+    @staticmethod
+    def _hook_lease_removal(monkeypatch, lease, hook, before):
+        fired = []
+
+        def wrap(function):
+            def wrapped(src, *args, **kwargs):
+                trigger = Path(src) == lease and not fired
+                if trigger:
+                    fired.append(True)
+                    if before:
+                        hook()
+                result = function(src, *args, **kwargs)
+                if trigger and not before:
+                    hook()
+                return result
+            return wrapped
+
+        monkeypatch.setattr(os, "rename", wrap(os.rename))
+        monkeypatch.setattr(os, "unlink", wrap(os.unlink))
+        return fired
+
+    def test_claim_during_a_reap_gets_the_next_attempt(self, tmp_path, monkeypatch):
+        rival, queue, claim = self._stale_claim(tmp_path)
+        lease = queue.leases / f"{claim.unit.id}.json"
+        claims = []
+        # The rival claims right after the reaper took the stale lease away,
+        # before the reap has finished.
+        fired = self._hook_lease_removal(
+            monkeypatch, lease, lambda: claims.append(rival.claim_next("w1")[0]),
+            before=False,
+        )
+        assert queue.reap_expired() == 1
+        monkeypatch.undo()
+        assert fired and claims[0] is not None
+        assert claims[0].unit.id == claim.unit.id
+        assert claims[0].attempt == 2
+
+    def test_reaper_never_removes_a_lease_it_did_not_judge(self, tmp_path, monkeypatch):
+        rival, queue, claim = self._stale_claim(tmp_path)
+        lease = queue.leases / f"{claim.unit.id}.json"
+
+        def reap_and_reclaim():
+            # A second reaper removes the stale lease first, and a new owner
+            # takes the unit with a fresh, live lease.
+            assert rival.reap_expired() == 1
+            lease.write_text(json.dumps({
+                "owner": "w3", "pid": os.getpid(), "host": rival.host,
+                "claim": 2, "acquired": time.time(), "heartbeat": time.time(),
+                "lease_timeout": 60.0,
+            }))
+
+        fired = self._hook_lease_removal(
+            monkeypatch, lease, reap_and_reclaim, before=True
+        )
+        assert queue.reap_expired() == 0
+        monkeypatch.undo()
+        assert fired
+        assert json.loads(lease.read_text())["owner"] == "w3"
+
+
+_HANG_SCRIPT = """
+import json, sys
+from repro.experiments import fleet
+from repro.experiments import FleetPolicy, ScenarioSpec, run_fleet_campaign
+from repro.experiments.cache import ResultCache
+
+fleet._DRAIN_GRACE = 1.0
+spec = ScenarioSpec.from_dict(json.loads(sys.argv[1]))
+try:
+    run_fleet_campaign(ResultCache(sys.argv[2]), spec,
+                       FleetPolicy(workers=1, lease_timeout=60.0))
+except fleet.CampaignInterrupted:
+    sys.exit(1)
+sys.exit(0)
+"""
+
+
+def _proc_stat(pid: int) -> list[str] | None:
+    """``/proc/<pid>/stat`` fields after the command name (state, ppid, …)."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return None
+
+
+def _running(pid: int) -> bool:
+    fields = _proc_stat(pid)
+    return fields is not None and fields[0] != "Z"
+
+
+def _children(pid: int) -> list[int]:
+    kids = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            fields = _proc_stat(int(entry.name))
+            if fields is not None and int(fields[1]) == pid and fields[0] != "Z":
+                kids.append(int(entry.name))
+    return kids
+
+
+def _wait_for(predicate, timeout: float):
+    deadline = time.time() + timeout
+    while time.time() < deadline:
+        value = predicate()
+        if value:
+            return value
+        time.sleep(0.05)
+    return predicate()
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+class TestNoOrphans:
+    def _hung_worker(self, queue: FleetQueue, exclude: set[int]):
+        """(worker pid, unit child pid) of a worker executing a hung unit."""
+        for state in queue.worker_states() if queue.exists() else ():
+            pid = state.get("pid")
+            if state.get("state") == "executing" and pid not in exclude:
+                kids = _children(pid)
+                if kids:
+                    return pid, kids[0]
+        return None
+
+    def test_killed_workers_leave_no_unit_process(self, tmp_path):
+        spec = small_spec()
+        cache = ResultCache(tmp_path / "fleet")
+        queue = FleetQueue(cache.path(spec))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        env[FAULT_ENV] = "hang:*"  # every unit hangs, no cell timeout
+        supervisor = subprocess.Popen(
+            [sys.executable, "-c", _HANG_SCRIPT,
+             json.dumps(spec.to_dict()), str(cache.directory)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        spawned: list[int] = []
+        try:
+            first = _wait_for(lambda: self._hung_worker(queue, set()), 60.0)
+            assert first, "no worker ever ran a hung unit"
+            spawned.extend(first)
+            worker, child = first
+            # SIGKILL the worker mid-unit: the supervisor notices the death
+            # and must take the unit's child down with it (respawn path).
+            os.kill(worker, signal.SIGKILL)
+            assert _wait_for(lambda: not _running(child), 15.0)
+            second = _wait_for(lambda: self._hung_worker(queue, {worker}), 60.0)
+            assert second, "the supervisor never respawned a worker"
+            spawned.extend(second)
+            # Drain: the hung unit cannot finish, so the worker is killed at
+            # the end of the grace — together with its unit's child.
+            supervisor.send_signal(signal.SIGTERM)
+            assert supervisor.wait(timeout=30.0) == 1
+            assert _wait_for(lambda: not any(map(_running, second)), 15.0)
+        finally:
+            if supervisor.poll() is None:
+                supervisor.kill()
+                supervisor.wait(timeout=10.0)
+            for pid in spawned:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
